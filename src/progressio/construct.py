@@ -132,7 +132,6 @@ def build_c(
     alpha1: FieldElem | int,
     alpha2: FieldElem | int,
     target_deg_c: int,
-    seed: int = 0,
 ) -> tuple[Poly, Poly, Poly]:
     """Build c with a = p_i*h_i + alpha_i*b*c and separable h_i (i = 1, 2).
 
@@ -140,8 +139,7 @@ def build_c(
     and glued; the leftover degree freedom is a factor s of degree
     target_deg_c - deg p1 - deg p2, scanned over the family
     lambda*(X-beta)^(deg s - 1)*(X-gamma') in ascending order until the
-    resulting h_i are separable and coprime to a*p_i. The seed is accepted
-    for interface uniformity; the scan itself is deterministic.
+    resulting h_i are separable and coprime to a*p_i.
     """
     field = a.field
     p = field.modulus
@@ -290,8 +288,9 @@ def build_stable(a: Poly, b: Poly, n: int, seed: int = 0) -> StableCertificate:
     Selection is canonical: gamma1 < gamma2 are the two smallest residues
     avoiding the roots of a*b, and (alpha1, alpha2) starts at (1, 2),
     advancing in lexicographic order only if the multiplier scan rejects
-    a pair. Raises NoValidE when the exponent window is empty, and
-    FieldTooSmall when the field cannot host the selections.
+    a pair, so the result does not depend on seed. Raises NoValidE when the
+    exponent window is empty, and FieldTooSmall when the field cannot host
+    the selections.
     """
     field = a.field
     if field != b.field:
@@ -323,7 +322,7 @@ def build_stable(a: Poly, b: Poly, n: int, seed: int = 0) -> StableCertificate:
                 # the negated pair makes the certificate identities read
                 # a + alpha_i*b*c = p_i*h_i.
                 c, h1, h2 = build_c(
-                    a, b, p1, p2, field(-alpha1), field(-alpha2), target, seed
+                    a, b, p1, p2, field(-alpha1), field(-alpha2), target
                 )
             except FieldExhausted:
                 continue

@@ -192,8 +192,3 @@ class FieldElem:
 
     def __repr__(self):
         return f"FieldElem({self.residue} mod {self.field.modulus})"
-
-
-def field_new(p: int) -> PrimeField:
-    """Construct F_p, rejecting composite or oversized moduli."""
-    return PrimeField(p)

@@ -28,6 +28,7 @@ def test_certify_tampered_certificate(tmp_path, capsys):
     assert run(["certify", "--cert", str(cert_file)]) == 1
     err = capsys.readouterr().err
     assert "violated" in err
+    assert "degree/exponent" in err and "witness1-identity" in err
 
 
 def test_construct_determinism(tmp_path):

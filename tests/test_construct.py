@@ -96,7 +96,7 @@ def test_build_c_worked_example():
     b = Poly.x(F7)
     p1 = Poly.linear(F7, 1) ** 5
     p2 = Poly.linear(F7, 2) ** 2
-    c, h1, h2 = build_c(a, b, p1, p2, 1, 2, 8, seed=0)
+    c, h1, h2 = build_c(a, b, p1, p2, 1, 2, 8)
     assert c.degree == 8
     for alpha, pi, hi in ((F7(1), p1, h1), (F7(2), p2, h2)):
         assert pi * hi + alpha * b * c == a
@@ -112,13 +112,13 @@ def test_build_c_preconditions():
     p1 = Poly.linear(F7, 1) ** 5
     p2 = Poly.linear(F7, 2) ** 2
     with pytest.raises(PreconditionViolated):
-        build_c(a, b, p1, p1, 1, 2, 12, seed=0)  # p1 = p2 not coprime
+        build_c(a, b, p1, p1, 1, 2, 12)  # p1 = p2 not coprime
     with pytest.raises(PreconditionViolated):
-        build_c(a, b, p1, p2, 1, 2, p1.degree + p2.degree, seed=0)
+        build_c(a, b, p1, p2, 1, 2, p1.degree + p2.degree)
     with pytest.raises(PreconditionViolated):
-        build_c(a, b, p1, p2, 1, 1, 8, seed=0)  # equal alphas
+        build_c(a, b, p1, p2, 1, 1, 8)  # equal alphas
     with pytest.raises(PreconditionViolated):
-        build_c(a, b, p1, p2, 0, 2, 8, seed=0)  # zero alpha
+        build_c(a, b, p1, p2, 0, 2, 8)  # zero alpha
 
 
 def test_build_c_deterministic():
@@ -126,9 +126,7 @@ def test_build_c_deterministic():
     b = Poly.x(F7)
     p1 = Poly.linear(F7, 1) ** 5
     p2 = Poly.linear(F7, 2) ** 2
-    assert build_c(a, b, p1, p2, 1, 2, 8, seed=0) == build_c(
-        a, b, p1, p2, 1, 2, 8, seed=99
-    )
+    assert build_c(a, b, p1, p2, 1, 2, 8) == build_c(a, b, p1, p2, 1, 2, 8)
 
 
 def test_build_stable_worked_example():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from progressio import PrimeField, field_new, is_prime
+from progressio import PrimeField, is_prime
 from progressio.errors import FieldMismatch, NotPrime, OutOfRange
 
 MERSENNE61 = (1 << 61) - 1  # largest supported prime
@@ -10,26 +10,26 @@ BIG_PRIME_OVER_LIMIT = (1 << 61) + 15  # prime, but past the modulus bound
 
 
 def test_field_new_basic():
-    assert field_new(7).modulus == 7
-    assert field_new(2).modulus == 2
-    assert field_new(MERSENNE61).characteristic == MERSENNE61
+    assert PrimeField(7).modulus == 7
+    assert PrimeField(2).modulus == 2
+    assert PrimeField(MERSENNE61).characteristic == MERSENNE61
 
 
 def test_field_new_rejects_composite():
     with pytest.raises(NotPrime):
-        field_new(6)
+        PrimeField(6)
     with pytest.raises(NotPrime):
-        field_new(1)
+        PrimeField(1)
     with pytest.raises(NotPrime):
-        field_new(0)
+        PrimeField(0)
     with pytest.raises(NotPrime):
-        field_new(-7)
+        PrimeField(-7)
 
 
 def test_field_new_rejects_oversized():
     assert is_prime(BIG_PRIME_OVER_LIMIT)
     with pytest.raises(OutOfRange):
-        field_new(BIG_PRIME_OVER_LIMIT)
+        PrimeField(BIG_PRIME_OVER_LIMIT)
 
 
 def test_is_prime_small_table():

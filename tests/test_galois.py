@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from progressio import (
@@ -17,8 +19,11 @@ from progressio.errors import (
     ClauseFailed,
     DegreeDrop,
     FieldMismatch,
+    MathError,
     NonSquarefreeUnramifiedPart,
+    PreconditionViolated,
 )
+from progressio.galois import _inertia_type
 from progressio.poly import Poly
 
 F2 = PrimeField(2)
@@ -130,7 +135,6 @@ def test_certify_sn_full_run(cert_f7):
         "transitive", "long-cycle", "transposition", "symmetric-group",
     ]
     assert all(ok for _, ok, _ in sn.checks)
-    assert sn.transitive_reason.gcd_is_one
     text = sn.to_text()
     assert text.startswith("clause,passed,detail\n")
     assert "transposition,true" in text
@@ -143,6 +147,30 @@ def test_certify_sn_rejects_invalid_certificate(cert_f7):
     with pytest.raises(ClauseFailed) as info:
         certify_sn(broken)
     assert info.value.clause == "certificate"
+    assert "witness1-identity" in info.value.detail
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 10007])
+def test_witness_types_match_factorization(p):
+    # certify_sn reads the inertia types off the verified clauses; factoring
+    # the two specializations must give exactly the same types.
+    rng = random.Random(p)
+    field = PrimeField(p)
+    checked = 0
+    while checked < 4:
+        a = Poly(field, [rng.randrange(p) for _ in range(rng.randint(1, 3))])
+        b = Poly(field, [rng.randrange(p) for _ in range(rng.randint(1, 2))])
+        n = rng.randint(6, 16)
+        try:
+            cert = build_stable(a, b, n, seed=0)
+        except (MathError, PreconditionViolated):
+            continue  # infeasible pencil or degree; draw again
+        pencil = (cert.a, cert.b, cert.c)
+        for k, alpha in ((cert.e, cert.alpha1), (2, cert.alpha2)):
+            assert _inertia_type(cert.n, k, p) == ramification_type(
+                specialize(pencil, alpha)
+            )
+        checked += 1
 
 
 def test_histogram_empty_sample(cert_f7):
