@@ -21,10 +21,10 @@ from .construct import (
 )
 from .dirichlet import density_scan, search_constructed, search_exhaustive
 from .errors import MathError, UsageError
-from .factor import count_irreducibles, factorize
+from .factor import count_irreducibles, factorize, is_irreducible
 from .ff import PrimeField
 from .galois import certify_sn
-from .oracle import enumerate_irreducibles, naive_factor, naive_mul
+from .oracle import _monic_polys, enumerate_irreducibles, naive_factor, naive_mul
 from .poly import Poly, parse_poly
 
 
@@ -83,13 +83,13 @@ def _cmd_factor(args) -> int:
 
 def _selftest_suites(level: str):
     degree_cap = 4 if level == "quick" else 6
+    moduli = (2,) if level == "quick" else (2, 3)
     yield "necklace counts match enumeration", lambda: all(
         count_irreducibles(2, n) == len(enumerate_irreducibles(2, n))
         for n in range(1, degree_cap + 1)
     )
 
     def factor_agreement() -> bool:
-        moduli = (2,) if level == "quick" else (2, 3)
         for p in moduli:
             field = PrimeField(p)
             for code in range(1, p ** (degree_cap + 1)):
@@ -109,6 +109,12 @@ def _selftest_suites(level: str):
         return True
 
     yield "factorization agrees with trial division", factor_agreement
+
+    yield "irreducibility test agrees with the sieve", lambda: all(
+        {f for f in _monic_polys(PrimeField(p), n) if is_irreducible(f)}
+        == set(enumerate_irreducibles(p, n))
+        for p in moduli for n in range(1, degree_cap + 1)
+    )
 
     def mul_agreement() -> bool:
         rng = random.Random(7)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     FieldExhausted,
@@ -253,10 +254,14 @@ def certificate_violations(cert: StableCertificate) -> list[str]:
     check("degrees", (b * c).degree == n and a.degree < n)
     check("degree/exponent", 2 * e > n and e < n - m
           and math.gcd(e, n * field.modulus) == 1)
-    w1 = Poly.linear(field, cert.gamma1) ** e * cert.h1
-    w2 = Poly.linear(field, cert.gamma2) ** 2 * cert.h2
-    check("witness1-identity", a + cert.alpha1 * b * c == w1)
-    check("witness2-identity", a + cert.alpha2 * b * c == w2)
+    for name, alpha, gamma, k, h in (
+        ("witness1-identity", cert.alpha1, cert.gamma1, e, cert.h1),
+        ("witness2-identity", cert.alpha2, cert.gamma2, 2, cert.h2),
+    ):
+        # Degrees first, so a tampered exponent is never expanded.
+        lhs = a + alpha * b * c
+        check(name, k >= 0 and k + h.degree == lhs.degree
+              and (h.is_zero() or lhs == Poly.linear(field, gamma) ** k * h))
     for label, h, gamma in (("h1", cert.h1, cert.gamma1),
                             ("h2", cert.h2, cert.gamma2)):
         if h.is_zero():
@@ -305,7 +310,7 @@ def build_stable(a: Poly, b: Poly, n: int, seed: int = 0) -> StableCertificate:
         raise FieldTooSmall(f"need p >= deg(a*b) + 4 = {deg_ab + 4}, got {p}")
     m = int(max(a.degree, 2 + int(b.degree)))
     e = choose_e(n, m, p)
-    gammas = [g for g in range(p) if ab(g) != 0][:2]
+    gammas = list(islice((g for g in range(p) if ab(g) != 0), 2))
     if len(gammas) < 2:
         raise FieldExhausted("fewer than two residues avoid the roots of a*b")
     gamma1, gamma2 = gammas

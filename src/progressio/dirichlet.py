@@ -104,7 +104,6 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
         raise TooLarge(f"{p}^{deg_c + 1} candidate space exceeds the guard")
     hits = []
     scanned = 0
-    small = p <= 64
     for lead in range(1, p):
         for code in range(p**deg_c):
             coeffs = []
@@ -116,13 +115,7 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
             c = Poly(field, coeffs)
             member = a + b * c
             scanned += 1
-            if member.degree != n:
-                continue
-            if n >= 2 and small and any(
-                member(x) == 0 for x in range(p)
-            ):
-                continue  # a rational root refutes irreducibility cheaply
-            if _rabin_irreducible(list(member.coeffs), p):
+            if member.degree == n and _rabin_irreducible(list(member.coeffs), p):
                 hits.append((c, member))
     return _report(a, b, n, "exhaustive", hits, scanned)
 

@@ -1,15 +1,16 @@
 """Irreducibility testing and complete factorization over prime fields.
 
-Irreducibility uses the classic criterion: f of degree n is irreducible
-iff X^(p^n) = X (mod f) and gcd(X^(p^(n/r)) - X, f) = 1 for every prime
-divisor r of n. Frobenius powers X^(p^k) mod f are built by modular
-composition from X^p mod f, so the cost never depends on the magnitude
-of p^k.
+One engine serves both: Ben-Or's distinct-degree loop. For d = 1, 2, ...
+while 2d <= deg(rest), gcd(X^(p^d) - X, rest) is the product of the
+degree-d irreducible factors; what is left at the end is irreducible.
+The irreducibility test stops at the first nontrivial gcd. Frobenius is
+applied as the F_p-linear Berlekamp Q-matrix, the rows X^(i*p) mod f
+built from X^p mod f, so no exponent grows with p^d.
 
 Factorization runs squarefree decomposition (with p-th-root recursion
-when the derivative vanishes), then distinct-degree splitting, then
-randomized equal-degree splitting. Every randomized routine takes an
-explicit seed and produces a canonically ordered result, so equal seeds
+when the derivative vanishes), the distinct-degree loop, then randomized
+equal-degree splitting on the same rows. Every randomized routine takes
+an explicit seed and gives a canonically ordered result, so equal seeds
 give byte-identical output; the splitting retry budget is 64 shots per
 degree, after which the routine errors rather than looping silently.
 """
@@ -28,29 +29,18 @@ from .errors import (
 from .ff import FieldElem
 from .poly import (
     Poly,
-    _compose_mod,
+    _add,
+    _divmod,
     _gcd,
+    _mod,
     _monic,
+    _mul,
     _pow_mod,
     _sub,
+    _trim,
     format_poly,
     gcd,
-    pow_mod,
 )
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _mobius(n: int) -> int:
@@ -84,31 +74,55 @@ def count_irreducibles(p: int, n: int) -> int:
 # Irreducibility.
 
 
+def _frobenius_rows(xp: list[int], f: list[int], p: int) -> list[list[int]]:
+    # Rows X^(i*p) mod f for i < deg f, from xp = X^p mod f.
+    rows = [[1]]
+    for _ in range(len(f) - 2):
+        rows.append(_mod(_mul(rows[-1], xp, p), f, p))
+    return rows
+
+
+def _frob(h: list[int], rows: list[list[int]], p: int) -> list[int]:
+    # h^p mod f for h reduced mod f: the linear combination sum h_i*rows[i].
+    acc = [0] * len(rows)
+    for hi, row in zip(h, rows):
+        if hi:
+            for j, r in enumerate(row):
+                acc[j] += hi * r
+    return _trim([v % p for v in acc])
+
+
+def _ben_or(f: list[int], p: int):
+    # f monic, degree >= 1. Yields (gcd(X^(p^d) - X, rest), d) whenever that
+    # gcd is nontrivial, dividing it out of rest, then (rest, deg rest).
+    rest = f
+    h = _pow_mod([0, 1], p, f, p)
+    rows: list[list[int]] = []
+    d = 1
+    while 2 * d < len(rest):
+        if d > 1:
+            if not rows:  # not before d = 2: most random inputs have a root
+                rows = _frobenius_rows(h, rest, p)
+            h = _frob(h, rows, p)
+        g = _gcd(_sub(h, [0, 1], p), rest, p)
+        if len(g) > 1:
+            yield g, d
+            rest = _divmod(rest, g, p)[0]
+            h = _mod(h, rest, p)
+            rows = [_mod(r, rest, p) for r in rows[: len(rest) - 1]]
+        d += 1
+    if len(rest) > 1:
+        yield rest, len(rest) - 1
+
+
 def _rabin_irreducible(coeffs, p: int) -> bool:
-    """Raw-kernel irreducibility test; coeffs normalized, degree >= 1."""
-    n = len(coeffs) - 1
-    if n == 1:
-        return True
+    """Ben-Or irreducibility test; coefficients normalized, degree >= 1.
+
+    True iff gcd(X^(p^d) - X, f) = 1 for every d <= n/2. f need not be
+    squarefree: a repeated factor of degree <= n/2 shows at its own degree.
+    """
     f = _monic(coeffs, p)
-    x = [0, 1]
-    memo: dict[int, list[int]] = {}
-
-    def frob(k: int) -> list[int]:
-        # X^(p^k) mod f, by composition doubling from X^p mod f.
-        v = memo.get(k)
-        if v is None:
-            if k == 1:
-                v = _pow_mod(x, p, f, p)
-            else:
-                half = k >> 1
-                v = _compose_mod(frob(k - half), frob(half), f, p)
-            memo[k] = v
-        return v
-
-    for k in sorted({n // r for r in _prime_divisors(n)}):
-        if len(_gcd(_sub(frob(k), x, p), f, p)) > 1:
-            return False
-    return frob(n) == x
+    return next(_ben_or(f, p))[1] == len(f) - 1
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -155,59 +169,44 @@ def _squarefree_list(f: Poly) -> list[tuple[Poly, int]]:
 
 def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
     # f monic squarefree, degree >= 1; returns (product of factors, degree).
-    p = f.field.modulus
-    out = []
-    h = Poly.x(f.field) % f
-    d = 0
-    while f.degree >= 2 * (d + 1):
-        d += 1
-        h = pow_mod(h, p, f)
-        g = gcd(h - Poly.x(f.field), f)
-        if g.degree > 0:
-            out.append((g, d))
-            f = f // g
-            h = h % f
-    if f.degree > 0:
-        out.append((f, int(f.degree)))
-    return out
+    return [(f._wrap(g), d) for g, d in _ben_or(list(f.coeffs), f.field.modulus)]
 
 
 def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    # f monic squarefree, all irreducible factors of degree exactly d.
-    field = f.field
-    p = field.modulus
+    # f monic squarefree, all irreducible factors of degree exactly d. A random
+    # t splits g by its trace t + t^2 + ... + t^(2^(d-1)) (p = 2) or by
+    # t^((p^d-1)/2) = (t * t^p * ... * t^(p^(d-1)))^((p-1)/2) (odd p).
+    p = f.field.modulus
     budget = 64 * int(f.degree)
-    pieces = [f]
+    fc = list(f.coeffs)
+    rows = _frobenius_rows(_pow_mod([0, 1], p, fc, p), fc, p) if d > 1 else []
+    pieces = [fc]
     done: list[Poly] = []
-    exponent = (p**d - 1) // 2 if p != 2 else 0
     while pieces:
         g = pieces.pop()
-        if g.degree == d:
-            done.append(g)
+        if len(g) == d + 1:
+            done.append(f._wrap(g))
             continue
+        g_rows = [_mod(r, g, p) for r in rows[: len(g) - 1]]
         while True:
             if budget <= 0:
                 raise RetryBudgetExceeded(
                     f"equal-degree splitting exceeded {64 * int(f.degree)} shots"
                 )
             budget -= 1
-            t = Poly(field, [rng.randrange(p) for _ in range(int(g.degree))])
-            if t.degree < 1:
+            t = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+            if len(t) < 2:
                 continue
-            if p == 2:
-                # Trace map into GF(2): t + t^2 + t^4 + ... (d terms).
-                acc = t % g
-                tr = acc
-                for _ in range(d - 1):
-                    acc = pow_mod(acc, 2, g)
-                    tr = tr + acc
-                cand = gcd(tr, g) if not tr.is_zero() else g
-            else:
-                w = pow_mod(t, exponent, g) - 1
-                cand = gcd(w, g) if not w.is_zero() else g
-            if 0 < cand.degree < g.degree:
+            w = acc = t
+            for _ in range(d - 1):
+                acc = _frob(acc, g_rows, p)
+                w = _add(w, acc, p) if p == 2 else _mod(_mul(w, acc, p), g, p)
+            if p != 2:
+                w = _sub(_pow_mod(w, (p - 1) // 2, g, p), [1], p)
+            cand = _gcd(w, g, p)
+            if 1 < len(cand) < len(g):
                 pieces.append(cand)
-                pieces.append(g // cand)
+                pieces.append(_divmod(g, cand, p)[0])
                 break
     return done
 

@@ -249,9 +249,6 @@ class Poly:
         """Leading coefficient (zero for the zero polynomial)."""
         return self.field(self.coeffs[-1] if self.coeffs else 0)
 
-    def coeff(self, i: int) -> FieldElem:
-        return self.field(self.coeffs[i] if 0 <= i < len(self.coeffs) else 0)
-
     def monic(self) -> Poly:
         return self._wrap(_monic(self.coeffs, self.field.modulus))
 

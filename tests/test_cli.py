@@ -1,3 +1,7 @@
+import time
+
+import pytest
+
 from progressio.cli import run
 
 
@@ -28,6 +32,23 @@ def test_certify_tampered_certificate(tmp_path, capsys):
     assert run(["certify", "--cert", str(cert_file)]) == 1
     err = capsys.readouterr().err
     assert "violated" in err
+    assert "degree/exponent" in err and "witness1-identity" in err
+
+
+@pytest.mark.parametrize("e", ["-1", "1000000000"])
+def test_certify_rejects_out_of_range_exponent(tmp_path, capsys, e):
+    # The degree clauses are read before (X - gamma1)^e is expanded, so a
+    # negative exponent fails cleanly and a huge one costs no time.
+    cert_file = tmp_path / "cert.txt"
+    run(["construct", "-p", "7", "-a", "X+1", "-b", "1", "-n", "9",
+         "-o", str(cert_file)])
+    lines = cert_file.read_text().splitlines()
+    tampered = [line if not line.startswith("e:") else f"e: {e}" for line in lines]
+    cert_file.write_text("\n".join(tampered) + "\n")
+    start = time.perf_counter()
+    assert run(["certify", "--cert", str(cert_file)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
     assert "degree/exponent" in err and "witness1-identity" in err
 
 

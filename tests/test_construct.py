@@ -257,3 +257,17 @@ def test_random_certificates_verify_and_certify():
         certify_sn(cert)
         built += 1
     assert built >= 20
+
+
+@pytest.mark.parametrize("n", [9, 33])
+def test_construct_and_certify_at_61_bit_modulus(n):
+    # The gamma scan stops after the first two residues that avoid the roots
+    # of a*b, so the cost does not grow with p.
+    import time
+
+    field = PrimeField((1 << 61) - 1)
+    start = time.perf_counter()
+    cert = build_stable(parse_poly(field, "X+1"), Poly.one(field), n)
+    assert verify_certificate(cert)
+    assert certify_sn(cert).n == n
+    assert time.perf_counter() - start < 2.0

@@ -36,6 +36,13 @@ def test_is_irreducible_examples():
     for c in range(5):
         assert is_irreducible(Poly(F5, [c, 1]))
     assert is_irreducible(parse_poly(F5, "3*X+1"))  # units don't matter
+    # Squares g^2 with deg g <= n/2: the test need not see a squarefree input.
+    g = parse_poly(F5, "X^3+X+1")
+    assert is_irreducible(g)
+    assert not is_irreducible(g**2)
+    assert not is_irreducible(g**2 * parse_poly(F5, "X^2+2"))
+    big = PrimeField((1 << 61) - 1)
+    assert not is_irreducible(Poly(big, [1, 0, 1]) ** 2)
 
 
 def test_is_irreducible_rejects_constants():
@@ -191,8 +198,8 @@ def test_equal_degree_retry_budget_errors_instead_of_looping():
 
 
 def test_large_modulus_end_to_end():
-    # 2^61 - 1 exercises the big-exponent splitting path: the equal-degree
-    # exponent (p^d - 1)/2 is a 122-bit integer for d = 2.
+    # 2^61 - 1 exercises 61-bit coefficients in every step and the 60-bit
+    # exponent (p - 1)/2 of the equal-degree split.
     p = (1 << 61) - 1
     field = PrimeField(p)
     f = Poly(field, [1, 0, 1])  # X^2 + 1
@@ -208,6 +215,33 @@ def test_large_modulus_end_to_end():
     rng = random.Random(8)
     h = Poly(field, [rng.randrange(p) for _ in range(6)] + [1])
     assert factorize(h, seed=2).expand() == h
+
+
+def test_engine_matches_sympy_galoistools():
+    # Seeded differential check against an independent implementation;
+    # about 30% of the inputs carry a repeated factor g^2.
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(4)
+    for p in (2, 3, 5, 7, 13, 10007, (1 << 61) - 1):
+        field = PrimeField(p)
+        for _ in range(30):
+            n = rng.randrange(1, 12)
+            lead = rng.randrange(1, p)
+            f = Poly(field, [rng.randrange(p) for _ in range(n)] + [lead])
+            if rng.random() < 0.3:
+                m = rng.randrange(1, 4)
+                g = Poly(field, [rng.randrange(p) for _ in range(m)] + [1])
+                f = f * g**2
+            dense = list(reversed(f.coeffs))
+            assert is_irreducible(f) == gt.gf_irreducible_p(dense, p, ZZ)
+            lc, ref = gt.gf_factor(dense, p, ZZ)
+            ours = factorize(f, seed=rng.randrange(100))
+            assert int(ours.unit) == lc % p
+            assert sorted((q.coeffs, k) for q, k in ours.factors) == sorted(
+                (tuple(reversed(q)), k) for q, k in ref
+            )
 
 
 def test_count_irreducibles_examples():
