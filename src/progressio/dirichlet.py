@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from ._par import run_chunked, split_range, worker_count
 from .construct import StableCertificate, build_stable, verify_certificate
 from .errors import PreconditionViolated, TooLarge
 from .factor import _rabin_irreducible, is_irreducible
-from .ff import PrimeField
-from .poly import Poly, format_poly, gcd
+from .poly import Poly, _add, _mul, _mul_scalar, format_poly, gcd
 
 _EXHAUSTIVE_GUARD = 10**7
 
@@ -94,8 +94,7 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
         raise PreconditionViolated("pencil parts over different fields")
     if b.is_zero() or not gcd(a, b).is_one():
         raise PreconditionViolated("need gcd(a, b) = 1 with b != 0")
-    field = a.field
-    p = field.modulus
+    p = a.field.modulus
     deg_b = int(b.degree)
     deg_c = n - deg_b
     if deg_c < 0:
@@ -105,32 +104,22 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     hits = []
     scanned = 0
     for lead in range(1, p):
-        for code in range(p**deg_c):
-            coeffs = []
-            rest = code
-            for _ in range(deg_c):
-                rest, digit = divmod(rest, p)
-                coeffs.append(digit)
-            coeffs.append(lead)
-            c = Poly(field, coeffs)
-            member = a + b * c
+        # Reversed, so c_0 runs fastest: the order of the code sum c_i * p^i.
+        for digits in product(range(p), repeat=deg_c):
+            c = [*reversed(digits), lead]
+            member = _add(a.coeffs, _mul(b.coeffs, c, p), p)
             scanned += 1
-            if member.degree == n and _rabin_irreducible(list(member.coeffs), p):
-                hits.append((c, member))
+            if len(member) == n + 1 and _rabin_irreducible(member, p):
+                hits.append((a._wrap(c), a._wrap(member)))
     return _report(a, b, n, "exhaustive", hits, scanned)
 
 
 def _density_chunk(job):
     p, a_coeffs, bc_coeffs, lo, hi = job
-    field = PrimeField(p)
-    a = Poly(field, a_coeffs)
-    bc = Poly(field, bc_coeffs)
-    count = 0
-    for alpha in range(lo, hi):
-        member = a + alpha * bc
-        if _rabin_irreducible(list(member.coeffs), p):
-            count += 1
-    return count
+    return sum(
+        _rabin_irreducible(_add(a_coeffs, _mul_scalar(bc_coeffs, alpha, p), p), p)
+        for alpha in range(lo, hi)
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,7 +5,10 @@ while 2d <= deg(rest), gcd(X^(p^d) - X, rest) is the product of the
 degree-d irreducible factors; what is left at the end is irreducible.
 The irreducibility test stops at the first nontrivial gcd. Frobenius is
 applied as the F_p-linear Berlekamp Q-matrix, the rows X^(i*p) mod f
-built from X^p mod f, so no exponent grows with p^d.
+built from X^p mod f (packed into Kronecker ints above the size switch),
+so no exponent grows with p^d. Above the switch, degrees d > 1 come in
+blocks [d, 2d) (Shoup 1995): one gcd with the product of the X^(p^e) - X
+over a block, and one per degree only when that gcd is nontrivial.
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     ConstantPolynomial,
@@ -28,6 +32,7 @@ from .errors import (
 )
 from .ff import FieldElem
 from .poly import (
+    _SIZE_SWITCH,
     Poly,
     _add,
     _divmod,
@@ -35,9 +40,13 @@ from .poly import (
     _mod,
     _monic,
     _mul,
+    _pack,
     _pow_mod,
+    _reducer,
+    _slot_bytes,
     _sub,
     _trim,
+    _unpack,
     format_poly,
     gcd,
 )
@@ -76,41 +85,70 @@ def count_irreducibles(p: int, n: int) -> int:
 
 def _frobenius_rows(xp: list[int], f: list[int], p: int) -> list[list[int]]:
     # Rows X^(i*p) mod f for i < deg f, from xp = X^p mod f.
+    rem = _reducer(f, p)
     rows = [[1]]
     for _ in range(len(f) - 2):
-        rows.append(_mod(_mul(rows[-1], xp, p), f, p))
+        rows.append(rem(_mul(rows[-1], xp, p)))
     return rows
 
 
-def _frob(h: list[int], rows: list[list[int]], p: int) -> list[int]:
+def _packed(rows: list[list[int]], p: int) -> tuple[int, list]:
+    # Kronecker ints with slots for len(rows) products; lists (k = 0) below the switch.
+    k = _slot_bytes(len(rows), p) if len(rows) >= _SIZE_SWITCH else 0
+    return k, [_pack(r, k) for r in rows] if k else rows
+
+
+def _frob(h: list[int], packed: tuple[int, list], p: int) -> list[int]:
     # h^p mod f for h reduced mod f: the linear combination sum h_i*rows[i].
-    acc = [0] * len(rows)
+    k, rows = packed
+    if k:
+        acc = sum(hi * row for hi, row in zip(h, rows) if hi)
+        return _trim(_unpack(acc, k, len(rows), p))
+    out = [0] * len(rows)
     for hi, row in zip(h, rows):
         if hi:
             for j, r in enumerate(row):
-                acc[j] += hi * r
-    return _trim([v % p for v in acc])
+                out[j] += hi * r
+    return _trim([v % p for v in out])
 
 
 def _ben_or(f: list[int], p: int):
     # f monic, degree >= 1. Yields (gcd(X^(p^d) - X, rest), d) whenever that
     # gcd is nontrivial, dividing it out of rest, then (rest, deg rest).
+    # No degree in a block [d, 2d) divides another, so the block gcd holds
+    # exactly the factors of the block's degrees.
     rest = f
-    h = _pow_mod([0, 1], p, f, p)
     rows: list[list[int]] = []
+    rem = None  # a -> a mod rest, built when first needed
     d = 1
     while 2 * d < len(rest):
-        if d > 1:
-            if not rows:  # not before d = 2: most random inputs have a root
-                rows = _frobenius_rows(h, rest, p)
-            h = _frob(h, rows, p)
-        g = _gcd(_sub(h, [0, 1], p), rest, p)
-        if len(g) > 1:
-            yield g, d
-            rest = _divmod(rest, g, p)[0]
-            h = _mod(h, rest, p)
-            rows = [_mod(r, rest, p) for r in rows[: len(rest) - 1]]
-        d += 1
+        if d > 1 and not rows:  # not before d = 2: most random inputs have a root
+            rows = _frobenius_rows(h, rest, p)
+            packed = _packed(rows, p)
+        top = min(2 * d - 1, (len(rest) - 1) // 2) if len(rest) > _SIZE_SWITCH else d
+        hs = []
+        for e in range(d, top + 1):
+            h = _frob(h, packed, p) if e > 1 else _pow_mod([0, 1], p, f, p)
+            hs.append(_sub(h, [0, 1], p))
+        block = rest
+        if top > d:
+            rem = rem or _reducer(rest, p)
+            block = _gcd(reduce(lambda u, v: rem(_mul(u, v, p)), hs), rest, p)
+        size = len(rest)
+        for e, he in zip(range(d, top + 1), hs):
+            if len(block) == 1 or 2 * e >= len(rest):
+                break
+            g = _gcd(he, block, p)
+            if len(g) > 1:
+                yield g, e
+                rest = _divmod(rest, g, p)[0]
+        if len(rest) < size:
+            rem = _reducer(rest, p)
+            h = rem(h)
+            if rows:
+                rows = [rem(r) for r in rows[: len(rest) - 1]]
+                packed = _packed(rows, p)
+        d = top + 1
     if len(rest) > 1:
         yield rest, len(rest) - 1
 
@@ -187,7 +225,8 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         if len(g) == d + 1:
             done.append(f._wrap(g))
             continue
-        g_rows = [_mod(r, g, p) for r in rows[: len(g) - 1]]
+        g_rows = _packed([_mod(r, g, p) for r in rows[: len(g) - 1]], p)
+        rem = _reducer(g, p)
         while True:
             if budget <= 0:
                 raise RetryBudgetExceeded(
@@ -200,7 +239,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             w = acc = t
             for _ in range(d - 1):
                 acc = _frob(acc, g_rows, p)
-                w = _add(w, acc, p) if p == 2 else _mod(_mul(w, acc, p), g, p)
+                w = _add(w, acc, p) if p == 2 else rem(_mul(w, acc, p))
             if p != 2:
                 w = _sub(_pow_mod(w, (p - 1) // 2, g, p), [1], p)
             cand = _gcd(w, g, p)

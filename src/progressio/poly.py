@@ -11,6 +11,13 @@ Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``, ``compose_mod``)
 operate on Poly values; the underscore-prefixed kernels work on raw
 coefficient lists and carry the performance-sensitive inner loops.
 
+One size switch, ``_SIZE_SWITCH``, picks the method of the one multiply and
+the one remainder: below it schoolbook and long division; from it on, ``_mul``
+is Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
+8.4: pack into one int with slots for min(len a, len b)·(p−1)², multiply once
+in C, unpack), and ``_reducer`` precomputes the Newton inverse of the reversed
+modulus (ibid., 9.1), so a remainder of a product costs two multiplies.
+
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
 ("3*X^2+1"). The printer emits the symbolic form with descending powers
@@ -20,6 +27,8 @@ and coefficients reduced to [0, p).
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from typing import Iterable, Sequence
 
 from .errors import BothZero, FieldMismatch, ParseError, ZeroPolynomial
@@ -27,7 +36,11 @@ from .ff import FieldElem, PrimeField
 
 ZERO_DEGREE = float("-inf")
 
-_KARATSUBA_CUTOFF = 64
+# Shorter operand length, or modulus degree, from which Kronecker and Newton win.
+_SIZE_SWITCH = 9
+
+_BYTE_ORDER = sys.byteorder
+_ARRAY_CODES = {array(code).itemsize: code for code in "QIHB"}
 
 
 # ---------------------------------------------------------------------------
@@ -60,35 +73,42 @@ def _neg(a: Sequence[int], p: int) -> list[int]:
     return [(-ai) % p for ai in a]
 
 
-def _mul_school(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([v % p for v in out])
+def _slot_bytes(terms: int, p: int) -> int:
+    # Bytes per Kronecker slot that hold a sum of `terms` products, no carry.
+    k = ((terms * (p - 1) ** 2).bit_length() + 7) // 8
+    return k if k > 8 else 1 << (k - 1).bit_length()
+
+
+def _pack(a: Sequence[int], k: int) -> int:
+    # The int sum a_i * 256^(k*i), residues a_i in [0, p).
+    if k <= 8:
+        return int.from_bytes(array(_ARRAY_CODES[k], a).tobytes(), _BYTE_ORDER)
+    return int.from_bytes(b"".join(c.to_bytes(k, _BYTE_ORDER) for c in a), _BYTE_ORDER)
+
+
+def _unpack(x: int, k: int, n: int, p: int) -> list[int]:
+    # The n slots of x, each reduced mod p; the inverse of _pack, untrimmed.
+    raw = x.to_bytes(k * n, _BYTE_ORDER)
+    if k <= 8:
+        return [v % p for v in array(_ARRAY_CODES[k], raw)]
+    return [int.from_bytes(raw[i : i + k], _BYTE_ORDER) % p for i in range(0, k * n, k)]
 
 
 def _mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= _KARATSUBA_CUTOFF:
-        return _mul_school(a, b, p)
-    k = max(len(a), len(b)) // 2
-    a0, a1 = list(a[:k]), list(a[k:])
-    b0, b1 = list(b[:k]), list(b[k:])
-    lo = _mul(_trim(a0), _trim(b0), p)
-    hi = _mul(_trim(a1), _trim(b1), p)
-    mid = _mul(_add(a0, a1, p), _add(b0, b1, p), p)
-    mid = _sub(_sub(mid, lo, p), hi, p)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, v in enumerate(lo):
-        out[i] = v
-    for i, v in enumerate(mid):
-        out[i + k] = (out[i + k] + v) % p
-    for i, v in enumerate(hi):
-        out[i + 2 * k] = (out[i + 2 * k] + v) % p
-    return _trim(out)
+    short = min(len(a), len(b))
+    if short < _SIZE_SWITCH:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return _trim([v % p for v in out])
+    k = _slot_bytes(short, p)
+    x = _pack(a, k)
+    y = x if a is b else _pack(b, k)
+    return _trim(_unpack(x * y, k, len(a) + len(b) - 1, p))
 
 
 def _mul_scalar(a: Sequence[int], s: int, p: int) -> list[int]:
@@ -123,6 +143,30 @@ def _mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _divmod(a, b, p)[1]
 
 
+def _reducer(f: Sequence[int], p: int):
+    # a -> a mod f; from the size switch on, by the inverse of reversed f.
+    n = len(f) - 1
+    if n < _SIZE_SWITCH:
+        return lambda a: _divmod(a, f, p)[1]
+    rev = f[::-1]
+    inv = [pow(f[-1], -1, p)]
+    prec = 1
+    while prec < n - 1:
+        prec = min(2 * prec, n - 1)
+        err = _mul(_mul(inv, inv, p), rev[:prec], p)[:prec]
+        inv = _sub(_mul_scalar(inv, 2, p), err, p)
+
+    def rem(a: Sequence[int]) -> list[int]:
+        m = len(a) - n
+        if not 0 < m < n:
+            return _divmod(a, f, p)[1]
+        q_rev = _mul(a[: n - 1 : -1], inv[:m], p)[:m]
+        q = [0] * (m - len(q_rev)) + q_rev[::-1]
+        return _sub(a[:n], _mul(q, f, p)[:n], p)
+
+    return rem
+
+
 def _monic(a: Sequence[int], p: int) -> list[int]:
     if not a or a[-1] == 1:
         return list(a)
@@ -154,22 +198,24 @@ def _xgcd(a, b, p):
 
 
 def _pow_mod(base: Sequence[int], k: int, modulus: Sequence[int], p: int) -> list[int]:
+    rem = _reducer(modulus, p)
     result = _mod([1], modulus, p)
     acc = _mod(base, modulus, p)
     while k:
         if k & 1:
-            result = _mod(_mul(result, acc, p), modulus, p)
+            result = rem(_mul(result, acc, p))
         k >>= 1
         if k:
-            acc = _mod(_mul(acc, acc, p), modulus, p)
+            acc = rem(_mul(acc, acc, p))
     return result
 
 
 def _compose_mod(outer, inner, modulus, p):
     # Horner evaluation of outer at inner, reduced mod modulus.
+    rem = _reducer(modulus, p)
     result: list[int] = []
     for coeff in reversed(list(outer)):
-        result = _mod(_mul(result, inner, p), modulus, p)
+        result = rem(_mul(result, inner, p))
         if coeff:
             result = _add(result, [coeff], p)
     return result
@@ -431,8 +477,12 @@ _TERM_RE = re.compile(
 )
 
 
+# "X^k" costs a dense list of k + 1 coefficients, so parse_poly bounds k.
+_MAX_EXPONENT = 1 << 20
+
+
 def parse_poly(field: PrimeField, text: str) -> Poly:
-    """Parse either "1,0,3" (low-to-high coefficients) or "3*X^2+1"."""
+    """Parse "1,0,3" (low-to-high coefficients) or "3*X^2+1" (exponents <= 2^20)."""
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial text")
@@ -459,11 +509,13 @@ def parse_poly(field: PrimeField, text: str) -> Poly:
         m = _TERM_RE.match(body)
         if not m or (m.group("coeff") is None and "X" not in body.upper()):
             raise ParseError(f"bad term {piece!r} in {text!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") is not None else 1
-        if "X" in body.upper():
-            exp = int(m.group("exp")) if m.group("exp") is not None else 1
-        else:
-            exp = 0
+        try:
+            coeff = int(m.group("coeff") or 1)
+            exp = int(m.group("exp") or 1) if "X" in body.upper() else 0
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"bad term {piece!r} in {text!r}") from exc
+        if exp > _MAX_EXPONENT:
+            raise ParseError(f"exponent {exp} exceeds {_MAX_EXPONENT} in {text!r}")
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     top = max(coeffs, default=0)
     dense = [coeffs.get(i, 0) for i in range(top + 1)]

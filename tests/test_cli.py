@@ -2,7 +2,9 @@ import time
 
 import pytest
 
+from progressio import PrimeField, parse_poly
 from progressio.cli import run
+from progressio.errors import ParseError
 
 
 def read(path):
@@ -50,6 +52,21 @@ def test_certify_rejects_out_of_range_exponent(tmp_path, capsys, e):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "degree/exponent" in err and "witness1-identity" in err
+
+
+def test_factor_rejects_huge_exponent(capsys):
+    # "X^1000000000" would be a dense list of 10^9 + 1 coefficients.
+    start = time.perf_counter()
+    assert run(["factor", "-p", "5", "-f", "X^1000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exponent" in capsys.readouterr().err
+
+
+def test_parse_poly_accepts_exponent_at_the_bound():
+    field = PrimeField(5)
+    assert parse_poly(field, f"X^{2**20}+1").degree == 2**20
+    with pytest.raises(ParseError):
+        parse_poly(field, f"X^{2**20 + 1}")
 
 
 def test_construct_determinism(tmp_path):

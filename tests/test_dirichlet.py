@@ -78,6 +78,11 @@ def test_search_exhaustive_small_scale():
         assert c.degree == 2
         assert member.degree == 4
         assert is_irreducible(member)
+    # Candidate order: leading coefficient, then the code sum c_0 + 3*c_1.
+    order = [Poly(F3, [c0, c1, lead])
+             for lead in (1, 2) for c1 in range(3) for c0 in range(3)]
+    expected = [c for c in order if is_irreducible(a + b * c)]
+    assert [c for c, _ in report.hits] == expected
 
 
 def test_search_exhaustive_no_admissible_c():

@@ -7,11 +7,14 @@ from progressio import (
     count_irreducibles,
     enumerate_irreducibles,
     factorize,
+    gcd,
     is_irreducible,
     naive_factor,
     parse_poly,
+    pow_mod,
 )
 from progressio.errors import ConstantPolynomial, ZeroPolynomial
+from progressio.factor import _distinct_degree
 from progressio.poly import Poly
 
 F2 = PrimeField(2)
@@ -242,6 +245,53 @@ def test_engine_matches_sympy_galoistools():
             assert sorted((q.coeffs, k) for q, k in ours.factors) == sorted(
                 (tuple(reversed(q)), k) for q, k in ref
             )
+
+
+def _reference_distinct_degree(f):
+    # One gcd per degree, X^(p^d) by the public pow_mod: no blocks, no Q-matrix.
+    p = f.field.modulus
+    x = Poly.x(f.field)
+    out, rest, h, d = [], f, x, 1
+    while 2 * d <= rest.degree:
+        h = pow_mod(h, p, rest)
+        g = gcd(h - x, rest)
+        if g.degree > 0:
+            out.append((g, d))
+            rest = rest // g
+            h = h % rest
+        d += 1
+    if rest.degree > 0:
+        out.append((rest, int(rest.degree)))
+    return out
+
+
+def _random_irreducible(rng, field, degree):
+    while True:
+        g = Poly(field, [rng.randrange(field.modulus) for _ in range(degree)] + [1])
+        if is_irreducible(g):
+            return g
+
+
+def test_distinct_degree_matches_per_degree_reference():
+    # Seeded squarefree inputs up to degree 130: random ones, and products of
+    # irreducibles whose degrees share a block [d, 2d) of the blocked loop.
+    rng = random.Random(47)
+    cases = [(2, 130), (3, 100), (5, 128), (101, 64), (10007, 40), ((1 << 61) - 1, 20)]
+    for p, n in cases:
+        field = PrimeField(p)
+        inputs = [Poly(field, [rng.randrange(p) for _ in range(n)] + [1])
+                  for _ in range(3)]
+        for degrees in ((1, 2, 3, 5, 6, 7, 7), (4, 5, 9, 13, 20)):
+            f = Poly.one(field)
+            for k in degrees:
+                g = _random_irreducible(rng, field, k)
+                if gcd(f, g).is_one():
+                    f = f * g
+            inputs.append(f)
+        for f in inputs:
+            if not gcd(f, f.derivative()).is_one():
+                continue
+            assert _distinct_degree(f) == _reference_distinct_degree(f), (p, f.degree)
 
 
 def test_count_irreducibles_examples():

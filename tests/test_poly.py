@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from progressio import (
     PrimeField,
@@ -20,7 +22,7 @@ from progressio.errors import (
     ParseError,
     ZeroPolynomial,
 )
-from progressio.poly import Poly
+from progressio.poly import _SIZE_SWITCH, Poly, _reducer, _slot_bytes
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -157,13 +159,92 @@ def test_mul_matches_convolution_oracle():
 
 
 def test_mul_above_split_threshold():
-    # degrees straddling the divide-and-conquer cutoff
+    # long operands of unequal length, far above the size switch
     rng = random.Random(29)
     field = PrimeField(101)
     for _ in range(8):
         f = rand_poly(rng, field, 150 + rng.randrange(60))
         g = rand_poly(rng, field, 90 + rng.randrange(120))
         assert f * g == naive_mul(f, g)
+
+
+KERNEL_MODULI = (2, 3, 101, 10007, (1 << 61) - 1)
+
+
+def test_mul_matches_convolution_across_the_size_switch():
+    # Lengths below, at and far above the switch, unbalanced pairs such as
+    # 2 x 128, and squares (one packed operand); at 2^61 - 1 a slot is wider
+    # than 8 bytes.
+    rng = random.Random(37)
+    lengths = [1, 2, _SIZE_SWITCH - 1, _SIZE_SWITCH, _SIZE_SWITCH + 1, 64, 128, 300]
+    for p in KERNEL_MODULI:
+        field = PrimeField(p)
+        pairs = [(2, 128), (128, 2), (_SIZE_SWITCH, 300)] + [
+            (rng.choice(lengths), rng.choice(lengths)) for _ in range(6)
+        ]
+        for la, lb in pairs:
+            f = rand_poly(rng, field, la - 1)
+            g = rand_poly(rng, field, lb - 1)
+            assert f * g == naive_mul(f, g), (p, la, lb)
+        f = rand_poly(rng, field, 150)
+        assert f * f == naive_mul(f, f)
+        for n in (_SIZE_SWITCH, 64, 200):
+            top = Poly(field, [p - 1] * n)  # every slot at its largest sum
+            assert top * top == naive_mul(top, top)
+        for terms in range(1, 1000):
+            k = _slot_bytes(terms, p)
+            assert 256**k > terms * (p - 1) ** 2 and (k in (1, 2, 4, 8) or k > 8)
+
+
+def test_divmod_identity_below_and_above_the_switch():
+    rng = random.Random(41)
+    for p in KERNEL_MODULI:
+        field = PrimeField(p)
+        for deg_b in (1, _SIZE_SWITCH - 1, _SIZE_SWITCH, 40, 130):
+            lead = rng.randrange(1, p)
+            b = Poly(field, [rng.randrange(p) for _ in range(deg_b)] + [lead])
+            rem = _reducer(list(b.coeffs), p)
+            for deg_a in (0, deg_b - 1, deg_b, 2 * deg_b - 2, 3 * deg_b):
+                a = rand_poly(rng, field, deg_a)
+                q, r = divmod(a, b)
+                assert naive_mul(q, b) + r == a
+                assert r.degree < b.degree
+                assert Poly(field, rem(list(a.coeffs))) == r, (p, deg_a, deg_b)
+
+
+def test_pow_mod_matches_repeated_multiplication():
+    rng = random.Random(43)
+    for p in KERNEL_MODULI:
+        field = PrimeField(p)
+        for deg_m in (3, _SIZE_SWITCH, 33):
+            m = Poly(field, [rng.randrange(p) for _ in range(deg_m)] + [1])
+            base = rand_poly(rng, field, deg_m + 5)
+            acc = Poly.one(field)
+            for k in range(12):
+                assert pow_mod(base, k, m) == acc % m, (p, deg_m, k)
+                acc = naive_mul(acc, base) % m
+
+
+@st.composite
+def _operands(draw):
+    p = draw(st.sampled_from(KERNEL_MODULI))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=3 * _SIZE_SWITCH)
+    a, b = draw(coeffs), draw(coeffs)
+    b.append(draw(st.integers(1, p - 1)))  # a nonzero modulus
+    return PrimeField(p), a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands())
+def test_mul_and_remainder_property(operands):
+    field, a, b = operands
+    f, g = Poly(field, a), Poly(field, b)
+    assert f * g == naive_mul(f, g)
+    rem = _reducer(list(g.coeffs), field.modulus)
+    for h in (f * g, f * f, f * g + f):
+        q, r = divmod(h, g)
+        assert naive_mul(q, g) + r == h and r.degree < g.degree
+        assert Poly(field, rem(list(h.coeffs))) == r
 
 
 def test_scalar_mixing():
