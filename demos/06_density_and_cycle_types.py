@@ -3,7 +3,8 @@
 If the geometric group of a + b*c*Y is S_n, equidistribution over the
 scales alpha makes each factorization pattern of a + alpha*b*c appear
 with the frequency of its conjugacy class in S_n; in particular about
-1/n of the members are irreducible (the n-cycle class).
+1/n of the members are irreducible (the n-cycle class), and about
+1 - D_n/n! have a root in F_p (the classes with a fixed point).
 """
 
 from math import factorial
@@ -25,6 +26,12 @@ print(f"degree {result.n} over F_{result.p}: {result.count} irreducible members 
       f"of {result.p - 1} scales")
 print(f"expected about p/n = {float(result.expected):.1f}; "
       f"ratio = {float(result.ratio):.3f}")
+# Members with a root are the fixed-point classes of S_n: 1 - D_n/n! of them,
+# D_n the derangements. The scan settles these by a root sieve, untested.
+derangements = sum((-1) ** k * factorial(result.n) // factorial(k)
+                   for k in range(result.n + 1))
+print(f"members with a root: {result.rooted / (result.p - 1):.3f} of the scales; "
+      f"1 - D_n/n! = {1 - derangements / factorial(result.n):.3f}")
 
 def class_size(ctype):
     # |class| = n! / prod(part * mult(part)!)

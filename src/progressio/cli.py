@@ -19,7 +19,7 @@ from .construct import (
     certificate_from_text,
     certificate_to_text,
 )
-from .dirichlet import density_scan, search_constructed, search_exhaustive
+from .dirichlet import _root_sieve, density_scan, search_constructed, search_exhaustive
 from .errors import MathError, UsageError
 from .factor import count_irreducibles, factorize, is_irreducible
 from .ff import PrimeField
@@ -139,6 +139,21 @@ def _selftest_suites(level: str):
         return certify_sn(replay).n == 9
 
     yield "certificate round-trip certifies", roundtrip
+
+    def sieve_agreement(p: int, n: int) -> bool:
+        field = PrimeField(p)
+        cert = build_stable(parse_poly(field, "X+1"), Poly.one(field), n, 0)
+        bc = cert.b * cert.c
+        marked = _root_sieve(list(cert.a.coeffs), list(bc.coeffs), p)
+        members = [cert.a + alpha * bc for alpha in range(1, p)]
+        irreducible = [is_irreducible(m) for m in members]
+        return density_scan(cert, workers=1).count == sum(irreducible) and not any(
+            rooted and (irr or all(map(m, range(p))))
+            for m, irr, rooted in zip(members, irreducible, marked[1:]))
+
+    cases = ((101, 7),) if level == "quick" else ((101, 7), (1009, 9))
+    yield "root sieve agrees with the irreducibility test", lambda: all(
+        sieve_agreement(p, n) for p, n in cases)
 
 
 def _cmd_selftest(args) -> int:

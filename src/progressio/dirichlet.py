@@ -10,7 +10,9 @@ enumerates every admissible c at desk scale as a brute-force oracle.
 Density: when the geometric group of the rescaled family is the full
 symmetric group, a fraction of about 1/n of specializations is
 irreducible (the n-cycle proportion), so an exhaustive scan over the
-p - 1 nonzero scales should find about p/n hits.
+p - 1 nonzero scales should find about p/n hits. About 1 - D_n/n! of them (D_n the
+derangements) have a root x, so are reducible (n >= 2); as alpha = -a(x)/bc(x), one
+pass over F_p marks those, a byte each, so p - 1 is capped at the exhaustive guard.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ._par import run_chunked, split_range, worker_count
 from .construct import StableCertificate, build_stable, verify_certificate
 from .errors import PreconditionViolated, TooLarge
 from .factor import _rabin_irreducible, is_irreducible
-from .poly import Poly, _add, _mul, _mul_scalar, format_poly, gcd
+from .poly import Poly, _add, _eval, _mul, _mul_scalar, format_poly, gcd
 
 _EXHAUSTIVE_GUARD = 10**7
 
@@ -114,11 +116,20 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     return _report(a, b, n, "exhaustive", hits, scanned)
 
 
+def _root_sieve(a_coeffs, bc_coeffs, p: int) -> bytearray:
+    marked = bytearray(p)
+    for x in range(p):
+        v = _eval(bc_coeffs, x, p)
+        if v:
+            marked[-_eval(a_coeffs, x, p) * pow(v, -1, p) % p] = 1
+    return marked
+
+
 def _density_chunk(job):
-    p, a_coeffs, bc_coeffs, lo, hi = job
+    p, a_coeffs, bc_coeffs, lo, marked = job
     return sum(
         _rabin_irreducible(_add(a_coeffs, _mul_scalar(bc_coeffs, alpha, p), p), p)
-        for alpha in range(lo, hi)
+        for alpha, rooted in enumerate(marked, lo) if not rooted
     )
 
 
@@ -131,6 +142,7 @@ class DensityResult:
     count: int
     expected: Fraction
     ratio: Fraction
+    rooted: int  # scales the root sieve settled; not part of the CSV
 
     def to_csv(self) -> str:
         header = "p,n,count,expected,ratio"
@@ -144,23 +156,24 @@ def density_scan(cert: StableCertificate, workers: int | None = None) -> Density
     The expectation p/n comes from the n-cycle proportion 1/n in the full
     symmetric group; the ratio count/(p/n) should sit near 1, with an
     error that depends on the curve's genus and is not computed here.
+
+    Only scales the root sieve leaves unmarked are tested; ``rooted``, about
+    1 - D_n/n! of them, are reducible: their member has a root and degree
+    n >= 7 (a zero of bc is a root of none, as gcd(a, bc) = 1). p - 1 above
+    the exhaustive guard (10^7) raises ``TooLarge`` before anything is allocated.
     """
+    p = cert.field.modulus
+    if p - 1 > _EXHAUSTIVE_GUARD:
+        raise TooLarge(f"{p - 1} scales exceed the scan bound {_EXHAUSTIVE_GUARD}")
     if not verify_certificate(cert):
         raise PreconditionViolated("density scan needs a valid certificate")
-    p = cert.field.modulus
     if workers is None:
         workers = worker_count()
-    bc = cert.b * cert.c
+    a, bc = list(cert.a.coeffs), list((cert.b * cert.c).coeffs)
+    marked = _root_sieve(a, bc, p)
     spans = split_range(1, p, workers * 8)
-    jobs = [
-        (p, list(cert.a.coeffs), list(bc.coeffs), lo, hi) for lo, hi in spans
-    ]
+    jobs = [(p, a, bc, lo, bytes(marked[lo:hi])) for lo, hi in spans]
     count = sum(run_chunked(_density_chunk, jobs, workers))
     expected = Fraction(p, cert.n)
-    return DensityResult(
-        p=p,
-        n=cert.n,
-        count=count,
-        expected=expected,
-        ratio=Fraction(count) / expected,
-    )
+    rooted = marked.count(1) - marked[0]  # alpha = 0 is no scale
+    return DensityResult(p, cert.n, count, expected, Fraction(count) / expected, rooted)

@@ -83,11 +83,10 @@ def count_irreducibles(p: int, n: int) -> int:
 # Irreducibility.
 
 
-def _frobenius_rows(xp: list[int], f: list[int], p: int) -> list[list[int]]:
-    # Rows X^(i*p) mod f for i < deg f, from xp = X^p mod f.
-    rem = _reducer(f, p)
+def _frobenius_rows(xp: list[int], n: int, rem, p: int) -> list[list[int]]:
+    # Rows X^(i*p) mod f for i < n = deg f, from xp = X^p mod f and rem = _reducer(f).
     rows = [[1]]
-    for _ in range(len(f) - 2):
+    for _ in range(n - 1):
         rows.append(rem(_mul(rows[-1], xp, p)))
     return rows
 
@@ -119,20 +118,19 @@ def _ben_or(f: list[int], p: int):
     # exactly the factors of the block's degrees.
     rest = f
     rows: list[list[int]] = []
-    rem = None  # a -> a mod rest, built when first needed
+    rem = _reducer(rest, p)  # a -> a mod rest, rebuilt whenever rest shrinks
     d = 1
     while 2 * d < len(rest):
         if d > 1 and not rows:  # not before d = 2: most random inputs have a root
-            rows = _frobenius_rows(h, rest, p)
+            rows = _frobenius_rows(h, len(rest) - 1, rem, p)
             packed = _packed(rows, p)
         top = min(2 * d - 1, (len(rest) - 1) // 2) if len(rest) > _SIZE_SWITCH else d
         hs = []
         for e in range(d, top + 1):
-            h = _frob(h, packed, p) if e > 1 else _pow_mod([0, 1], p, f, p)
+            h = _frob(h, packed, p) if e > 1 else _pow_mod([0, 1], p, rem, p)
             hs.append(_sub(h, [0, 1], p))
         block = rest
         if top > d:
-            rem = rem or _reducer(rest, p)
             block = _gcd(reduce(lambda u, v: rem(_mul(u, v, p)), hs), rest, p)
         size = len(rest)
         for e, he in zip(range(d, top + 1), hs):
@@ -217,7 +215,10 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     p = f.field.modulus
     budget = 64 * int(f.degree)
     fc = list(f.coeffs)
-    rows = _frobenius_rows(_pow_mod([0, 1], p, fc, p), fc, p) if d > 1 else []
+    rem = _reducer(fc, p)  # also serves the first piece, fc itself
+    rows = []
+    if d > 1:
+        rows = _frobenius_rows(_pow_mod([0, 1], p, rem, p), len(fc) - 1, rem, p)
     pieces = [fc]
     done: list[Poly] = []
     while pieces:
@@ -226,7 +227,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
             done.append(f._wrap(g))
             continue
         g_rows = _packed([_mod(r, g, p) for r in rows[: len(g) - 1]], p)
-        rem = _reducer(g, p)
+        rem = rem if g is fc else _reducer(g, p)
         while True:
             if budget <= 0:
                 raise RetryBudgetExceeded(
@@ -241,7 +242,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
                 acc = _frob(acc, g_rows, p)
                 w = _add(w, acc, p) if p == 2 else rem(_mul(w, acc, p))
             if p != 2:
-                w = _sub(_pow_mod(w, (p - 1) // 2, g, p), [1], p)
+                w = _sub(_pow_mod(w, (p - 1) // 2, rem, p), [1], p)
             cand = _gcd(w, g, p)
             if 1 < len(cand) < len(g):
                 pieces.append(cand)

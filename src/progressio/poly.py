@@ -197,10 +197,10 @@ def _xgcd(a, b, p):
     return a, s, t
 
 
-def _pow_mod(base: Sequence[int], k: int, modulus: Sequence[int], p: int) -> list[int]:
-    rem = _reducer(modulus, p)
-    result = _mod([1], modulus, p)
-    acc = _mod(base, modulus, p)
+def _pow_mod(base: Sequence[int], k: int, rem, p: int) -> list[int]:
+    # rem is a prebuilt _reducer of the modulus, so callers reuse its inverse.
+    result = rem([1])
+    acc = rem(base)
     while k:
         if k & 1:
             result = rem(_mul(result, acc, p))
@@ -439,7 +439,8 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
         raise FieldMismatch("pow_mod operands over different fields")
     if modulus.is_zero():
         raise ZeroDivisionError("pow_mod modulus is zero")
-    return base._wrap(_pow_mod(base.coeffs, k, modulus.coeffs, base.field.modulus))
+    p = base.field.modulus
+    return base._wrap(_pow_mod(base.coeffs, k, _reducer(modulus.coeffs, p), p))
 
 
 def compose_mod(outer: Poly, inner: Poly, modulus: Poly) -> Poly:

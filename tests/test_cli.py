@@ -2,9 +2,10 @@ import time
 
 import pytest
 
-from progressio import PrimeField, parse_poly
+from progressio import PrimeField, build_stable, certificate_to_text, parse_poly
 from progressio.cli import run
 from progressio.errors import ParseError
+from progressio.poly import Poly
 
 
 def read(path):
@@ -122,6 +123,18 @@ def test_count_subcommand(tmp_path, capsys):
     dest = tmp_path / "density.csv"
     assert run(["count", "--cert", str(cert_file), "-o", str(dest)]) == 0
     assert dest.read_text() == out
+
+
+def test_count_refuses_a_61_bit_modulus(tmp_path, capsys):
+    # The scan and its root sieve are O(p), so count stops at the guard.
+    field = PrimeField((1 << 61) - 1)
+    cert = build_stable(parse_poly(field, "X+1"), Poly.one(field), 9)
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_text(certificate_to_text(cert))
+    start = time.perf_counter()
+    assert run(["count", "--cert", str(cert_file)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "10000000" in capsys.readouterr().err
 
 
 def test_factor_subcommand(capsys):

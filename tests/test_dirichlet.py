@@ -1,5 +1,7 @@
 import dataclasses
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -13,8 +15,9 @@ from progressio import (
     search_constructed,
     search_exhaustive,
 )
+from progressio.dirichlet import _root_sieve
 from progressio.errors import PreconditionViolated, TooLarge
-from progressio.poly import Poly
+from progressio.poly import Poly, _add, _eval, _mul, _mul_scalar
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -158,6 +161,70 @@ def test_density_scan_partition_independent():
     r1 = density_scan(cert, workers=1)
     r2 = density_scan(cert, workers=2)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101])
+def test_root_sieve_marks_exactly_the_rooted_members(p):
+    # Brute force over x: alpha is marked iff a + alpha*bc has a root. Half
+    # of the bc are built with a root r, where the sieve must mark nothing.
+    rng = random.Random(p)
+    field = PrimeField(p)
+    done = 0
+    while done < 12:
+        n = rng.randrange(2, 7)
+        bc = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        if done % 2:
+            bc = _mul([rng.randrange(p), 1], bc[1:], p)
+        a = [rng.randrange(p) for _ in range(rng.randrange(n))]
+        if not gcd(Poly(field, a), Poly(field, bc)).is_one():
+            continue
+        done += 1
+        marked = _root_sieve(a, bc, p)
+        assert len(marked) == p
+        for alpha in range(p):
+            member = _add(a, _mul_scalar(bc, alpha, p), p)
+            has_root = any(_eval(member, x, p) == 0 for x in range(p))
+            assert marked[alpha] == has_root, (a, bc, alpha)
+
+
+@pytest.mark.parametrize("p, a, b, n", [
+    (7, "X+1", "1", 9),
+    (7, "X^2+3", "1", 8),
+    (11, "X+1", "X+2", 11),
+    (13, "2*X+5", "1", 7),
+    (101, "X+1", "X+2", 12),
+    (1009, "X^2+3", "1", 9),
+])
+def test_density_scan_matches_the_plain_loop(p, a, b, n):
+    field = PrimeField(p)
+    cert = build_stable(parse_poly(field, a), parse_poly(field, b), n, seed=p)
+    bc = cert.b * cert.c
+    members = [cert.a + alpha * bc for alpha in range(1, p)]
+    plain = sum(is_irreducible(m) for m in members)
+    results = [density_scan(cert, workers=w) for w in (1, 2, 3)]
+    assert all(r.count == plain for r in results)
+    assert results[0] == results[1] == results[2]
+    if p <= 101:
+        rooted = sum(any(not m(x) for x in range(p)) for m in members)
+        assert results[0].rooted == rooted
+
+
+def test_rooted_share_follows_chebotarev():
+    # 1 - D_n/n! of S_n fixes a point; D_n counts the derangements.
+    field = PrimeField(10007)
+    cert = build_stable(parse_poly(field, "X+1"), Poly.one(field), 8, seed=0)
+    result = density_scan(cert)
+    derangements = sum((-1) ** k * factorial(8) // factorial(k) for k in range(9))
+    fixed_share = 1 - derangements / factorial(8)
+    assert abs(result.rooted / (result.p - 1) - fixed_share) < 0.05
+    assert result.count + result.rooted <= result.p - 1
+
+
+def test_density_scan_bounded_by_the_guard():
+    cert = build_stable(parse_poly(PrimeField(10**7 + 19), "X+1"),
+                        Poly.one(PrimeField(10**7 + 19)), 9, seed=0)
+    with pytest.raises(TooLarge, match="10000000"):
+        density_scan(cert)
 
 
 def test_density_scan_rejects_invalid_cert():
