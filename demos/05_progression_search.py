@@ -17,7 +17,7 @@ F101 = PrimeField(101)
 a = parse_poly(F101, "X+1")
 b = Poly.one(F101)
 
-report = search_constructed(a, b, 7, max_hits=3, seed=0)
+report = search_constructed(a, b, 7, max_hits=3)
 print(report.to_csv())
 print("first hits (member = a + b*c, irreducible of degree 7):")
 print(report.to_detail_text())

@@ -16,8 +16,6 @@ from .construct import (
     certificate_to_text,
     certificate_violations,
     choose_e,
-    find_shift,
-    pencil_irreducible,
     smallest_feasible_n,
     verify_certificate,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "density_scan",
     "enumerate_irreducibles",
     "factorize",
-    "find_shift",
     "format_poly",
     "gcd",
     "is_irreducible",
@@ -97,7 +94,6 @@ __all__ = [
     "naive_factor",
     "naive_mul",
     "parse_poly",
-    "pencil_irreducible",
     "pow_mod",
     "ramification_type",
     "search_constructed",

@@ -58,7 +58,7 @@ def _cmd_search(args) -> int:
     a = parse_poly(field, args.a)
     b = parse_poly(field, args.b)
     if args.strategy == "constructed":
-        report = search_constructed(a, b, args.n, args.max_hits, args.seed)
+        report = search_constructed(a, b, args.n, args.max_hits)
     else:
         report = search_exhaustive(a, b, args.n)
     body = report.to_csv() if args.format == "csv" else report.to_detail_text()
@@ -90,16 +90,12 @@ def _selftest_suites(level: str):
     )
 
     def factor_agreement() -> bool:
+        # Every polynomial of degree 1 to the cap: each monic one times each unit.
         for p in moduli:
             field = PrimeField(p)
-            for code in range(1, p ** (degree_cap + 1)):
-                coeffs, rest = [], code
-                while rest:
-                    rest, digit = divmod(rest, p)
-                    coeffs.append(digit)
-                f = Poly(field, coeffs)
-                if f.degree < 1:
-                    continue
+            polys = (m * lead for n in range(1, degree_cap + 1)
+                     for m in _monic_polys(field, n) for lead in range(1, p))
+            for f in polys:
                 ours = factorize(f)
                 ref = naive_factor(f)
                 if ours.unit != ref.unit or set(ours.factors) != set(ref.factors):

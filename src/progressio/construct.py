@@ -54,16 +54,6 @@ class Pencil:
             raise PreconditionViolated("pencil needs gcd(a, b) = 1")
 
 
-def pencil_irreducible(a: Poly, b: Poly) -> bool:
-    """Whether a + b·Y is irreducible as a bivariate polynomial.
-
-    By the Gauss-lemma criterion this holds iff gcd(a, b) = 1, and since
-    the Euclidean algorithm is unchanged under extension of the
-    coefficient field, the same gcd decides absolute irreducibility.
-    """
-    return gcd(a, b).is_one()
-
-
 def choose_e(n: int, m: int, p: int) -> int:
     """Smallest e with n/2 < e < n - m and gcd(e, n*p) = 1."""
     if n < 1 or m < 0:
@@ -72,44 +62,6 @@ def choose_e(n: int, m: int, p: int) -> int:
         if math.gcd(e, n * p) == 1:
             return e
     raise NoValidE(f"no admissible e in ({n}/2, {n - m}) coprime to {n}*{p}")
-
-
-def find_shift(
-    a: Poly,
-    b: Poly,
-    avoid: Poly,
-    require_separable: bool = False,
-    exclude: frozenset | set | tuple = (),
-) -> FieldElem:
-    """Smallest alpha with gcd(a + alpha*b, avoid) = 1 (and separability).
-
-    Scans field elements in ascending residue order. The exceptional set
-    that makes a shift fail is finite but lives in the algebraic closure,
-    so membership is never computed directly; each candidate is checked
-    by a gcd (and a separability test when requested).
-    """
-    field = a.field
-    if not gcd(a, b).is_one():
-        raise PreconditionViolated("find_shift needs gcd(a, b) = 1")
-    if avoid.is_zero():
-        raise PreconditionViolated("find_shift needs avoid != 0")
-    if require_separable and a.derivative().is_zero() and b.derivative().is_zero():
-        raise PreconditionViolated(
-            "separability cannot be forced when both derivatives vanish"
-        )
-    excluded = {int(field(x)) for x in exclude}
-    for alpha in range(field.modulus):
-        if alpha in excluded:
-            continue
-        shifted = a + alpha * b
-        if shifted.is_zero():
-            continue
-        if not gcd(shifted, avoid).is_one():
-            continue
-        if require_separable and not is_separable(shifted):
-            continue
-        return field(alpha)
-    raise FieldExhausted("every shift candidate was rejected")
 
 
 def _solve_companion(a: Poly, modulus: Poly, rhs: Poly) -> tuple[Poly, Poly]:

@@ -65,17 +65,15 @@ def _report(a, b, n, strategy, hits, scanned) -> SearchReport:
     )
 
 
-def search_constructed(
-    a: Poly, b: Poly, n: int, max_hits: int = 16, seed: int = 0
-) -> SearchReport:
+def search_constructed(a: Poly, b: Poly, n: int, max_hits: int = 16) -> SearchReport:
     """Scan the constructed family {alpha * c : alpha != 0} for members.
 
-    Builds a certificate first (rebuildable bit-for-bit from the same
-    seed), so its errors propagate; a report with zero hits is a valid
+    Builds a certificate first (deterministically, with ``build_stable``),
+    so its errors propagate; a report with zero hits is a valid
     outcome, not an error. Each hit records the rescaled multiplier
     alpha*c, so member = a + b*(alpha*c) replays exactly.
     """
-    cert = build_stable(a, b, n, seed)
+    cert = build_stable(a, b, n)
     p = a.field.modulus
     bc = b * cert.c
     hits = []

@@ -12,7 +12,9 @@ over a block, and one per degree only when that gcd is nontrivial.
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
-equal-degree splitting on the same rows. Every randomized routine takes
+equal-degree splitting on the same rows, all on raw coefficient lists:
+``Poly`` appears only at ``factorize``'s boundary, which unwraps its input
+once and wraps the finished irreducibles. Every randomized routine takes
 an explicit seed and gives a canonically ordered result, so equal seeds
 give byte-identical output; the splitting retry budget is 64 shots per
 degree, after which the routine errors rather than looping silently.
@@ -35,6 +37,7 @@ from .poly import (
     _SIZE_SWITCH,
     Poly,
     _add,
+    _deriv,
     _divmod,
     _gcd,
     _mod,
@@ -48,7 +51,6 @@ from .poly import (
     _trim,
     _unpack,
     format_poly,
-    gcd,
 )
 
 
@@ -172,66 +174,54 @@ def is_irreducible(f: Poly) -> bool:
 # Factorization.
 
 
-def _squarefree_list(f: Poly) -> list[tuple[Poly, int]]:
+def _squarefree_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
     # f monic of degree >= 1; returns pairwise coprime squarefree parts
     # with their multiplicities.
-    field = f.field
-    p = field.modulus
     mult, out = 1, []
     while True:
-        deriv = f.derivative()
-        done = False
-        if not deriv.is_zero():
-            g = gcd(f, deriv)
-            h = f // g
+        deriv = _deriv(f, p)
+        if deriv:
+            g = _gcd(f, deriv, p)
+            h = _divmod(f, g, p)[0]
             i = 1
-            while not h.is_one():
-                step = gcd(g, h)
-                part = h // step
-                if part.degree > 0:
+            while len(h) > 1:
+                step = _gcd(g, h, p)
+                part = _divmod(h, step, p)[0]
+                if len(part) > 1:
                     out.append((part, i * mult))
-                g, h, i = g // step, step, i + 1
-            if g.is_one():
-                done = True
-            else:
-                f = g
-        if done:
-            return out
-        # Here f' = 0, so f = u(X^p); u is its p-th root coefficient-wise.
-        stride = [f.coeffs[i * p] for i in range(f.degree // p + 1)]
-        f = Poly(field, stride)
+                g, h, i = _divmod(g, step, p)[0], step, i + 1
+            if len(g) == 1:
+                return out
+            f = g
+        # Here f' = 0 and f is monic, so p divides deg f and f = u(X^p), u = f[::p].
+        f = f[::p]
         mult *= p
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    # f monic squarefree, degree >= 1; returns (product of factors, degree).
-    return [(f._wrap(g), d) for g, d in _ben_or(list(f.coeffs), f.field.modulus)]
-
-
-def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
+def _equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
     # f monic squarefree, all irreducible factors of degree exactly d. A random
     # t splits g by its trace t + t^2 + ... + t^(2^(d-1)) (p = 2) or by
     # t^((p^d-1)/2) = (t * t^p * ... * t^(p^(d-1)))^((p-1)/2) (odd p).
-    p = f.field.modulus
-    budget = 64 * int(f.degree)
-    fc = list(f.coeffs)
-    rem = _reducer(fc, p)  # also serves the first piece, fc itself
+    if len(f) == d + 1:  # one factor: no X^p, no rows, no draws
+        return [f]
+    budget = 64 * (len(f) - 1)
+    rem = _reducer(f, p)  # also serves the first piece, f itself
     rows = []
     if d > 1:
-        rows = _frobenius_rows(_pow_mod([0, 1], p, rem, p), len(fc) - 1, rem, p)
-    pieces = [fc]
-    done: list[Poly] = []
+        rows = _frobenius_rows(_pow_mod([0, 1], p, rem, p), len(f) - 1, rem, p)
+    pieces = [f]
+    done: list[list[int]] = []
     while pieces:
         g = pieces.pop()
         if len(g) == d + 1:
-            done.append(f._wrap(g))
+            done.append(g)
             continue
         g_rows = _packed([_mod(r, g, p) for r in rows[: len(g) - 1]], p)
-        rem = rem if g is fc else _reducer(g, p)
+        rem = rem if g is f else _reducer(g, p)
         while True:
             if budget <= 0:
                 raise RetryBudgetExceeded(
-                    f"equal-degree splitting exceeded {64 * int(f.degree)} shots"
+                    f"equal-degree splitting exceeded {64 * (len(f) - 1)} shots"
                 )
             budget -= 1
             t = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
@@ -295,11 +285,12 @@ def factorize(f: Poly, seed: int = 0) -> FactorizationResult:
     unit = f.lc()
     if f.degree < 1:
         return FactorizationResult(unit, ())
+    p = f.field.modulus
     rng = random.Random(seed)
     found: list[tuple[Poly, int]] = []
-    for part, mult in _squarefree_list(f.monic()):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
-                found.append((irr, mult))
+    for part, mult in _squarefree_list(_monic(f.coeffs, p), p):
+        for prod, d in _ben_or(part, p):
+            for irr in _equal_degree(prod, d, p, rng):
+                found.append((f._wrap(irr), mult))
     found.sort(key=lambda pair: _graded_lex_key(pair[0]))
     return FactorizationResult(unit, tuple(found))

@@ -82,11 +82,6 @@ class PrimeField:
             return value
         return FieldElem(value % self.modulus, self)
 
-    def elements(self):
-        """All residues 0, 1, ..., p-1 in ascending order."""
-        for r in range(self.modulus):
-            yield FieldElem(r, self)
-
     def inv(self, x: FieldElem | int) -> FieldElem:
         """Multiplicative inverse; raises ZeroDivisionError at zero."""
         r = x.residue if isinstance(x, FieldElem) else x % self.modulus

@@ -29,7 +29,6 @@ from .construct import StableCertificate, certificate_violations
 from .errors import (
     ClauseFailed,
     DegreeDrop,
-    FieldMismatch,
     NonSquarefreeUnramifiedPart,
     PreconditionViolated,
 )
@@ -70,7 +69,18 @@ class RamificationType:
         return all(self.tame_flags) or self.wild_exception
 
 
-def ramification_type(f_alpha: Poly, p: int | None = None) -> RamificationType:
+def _ramification(exponents: list[int], p: int) -> RamificationType:
+    # Tame where gcd(e_i, p) = 1; wild exception: p = 2 with one doubled point.
+    exponents = sorted(exponents, reverse=True)
+    return RamificationType(
+        exponents=tuple(exponents),
+        n=sum(exponents),
+        tame_flags=tuple(math.gcd(x, p) == 1 for x in exponents),
+        wild_exception=p == 2 and [x for x in exponents if x % 2 == 0] == [2],
+    )
+
+
+def ramification_type(f_alpha: Poly) -> RamificationType:
     """Extract the ramification pattern from one specialization.
 
     Every repeated factor must be linear (the certificate construction
@@ -78,11 +88,6 @@ def ramification_type(f_alpha: Poly, p: int | None = None) -> RamificationType:
     outside the evidence this module is prepared to certify), and the
     multiplicity-one part must be squarefree.
     """
-    if p is not None and p != f_alpha.field.modulus:
-        raise FieldMismatch(
-            f"characteristic {p} does not match the field of the polynomial"
-        )
-    p = f_alpha.field.modulus
     result = factorize(f_alpha)
     exponents: list[int] = []
     plain = Poly.one(f_alpha.field)
@@ -101,15 +106,7 @@ def ramification_type(f_alpha: Poly, p: int | None = None) -> RamificationType:
             plain = plain * factor
     if plain.degree >= 1 and not gcd(plain, plain.derivative()).is_one():
         raise NonSquarefreeUnramifiedPart("multiplicity-one part not separable")
-    exponents.sort(reverse=True)
-    evens = [x for x in exponents if x % 2 == 0]
-    wild = p == 2 and evens == [2]
-    return RamificationType(
-        exponents=tuple(exponents),
-        n=sum(exponents),
-        tame_flags=tuple(math.gcd(x, p) == 1 for x in exponents),
-        wild_exception=wild,
-    )
+    return _ramification(exponents, f_alpha.field.modulus)
 
 
 _TRANSITIVITY_NOTE = (
@@ -166,13 +163,7 @@ def _inertia_type(n: int, k: int, p: int) -> RamificationType:
 
     h is separable and coprime to X - gamma, so it adds only simple roots.
     """
-    exponents = (k,) + (1,) * (n - k)
-    return RamificationType(
-        exponents=exponents,
-        n=n,
-        tame_flags=tuple(math.gcd(x, p) == 1 for x in exponents),
-        wild_exception=p == 2 and k == 2,
-    )
+    return _ramification([k] + [1] * (n - k), p)
 
 
 def certify_sn(cert: StableCertificate) -> SnCertificate:

@@ -270,10 +270,6 @@ class Poly:
         return cls(field, (int(c),))
 
     @classmethod
-    def monomial(cls, field: PrimeField, c: int | FieldElem, k: int) -> Poly:
-        return cls(field, [0] * k + [int(c)])
-
-    @classmethod
     def linear(cls, field: PrimeField, root: int | FieldElem) -> Poly:
         """The monic polynomial X - root."""
         return cls(field, (-int(root), 1))

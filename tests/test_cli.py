@@ -169,3 +169,12 @@ def test_selftest_quick(capsys):
     out = capsys.readouterr().out
     assert out.count("ok") >= 4
     assert "FAIL" not in out
+
+
+def test_selftest_full(capsys):
+    # Trial division at p = 3 up to degree 6 (every p-th-power shape) and the
+    # root sieve at p = 1009.
+    assert run(["selftest", "--level", "full"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("ok") >= 6
+    assert "FAIL" not in out

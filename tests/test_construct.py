@@ -13,17 +13,13 @@ from progressio import (
     certificate_violations,
     certify_sn,
     choose_e,
-    find_shift,
     gcd,
     is_separable,
     parse_poly,
-    pencil_irreducible,
     smallest_feasible_n,
     verify_certificate,
 )
 from progressio.errors import (
-    BothZero,
-    FieldExhausted,
     FieldTooSmall,
     NoValidE,
     PreconditionViolated,
@@ -57,38 +53,12 @@ def test_choose_e_window_property():
                 assert math.gcd(e, n) == 1 and e % p != 0
 
 
-def test_pencil_irreducible_examples():
-    assert pencil_irreducible(parse_poly(F3, "X+1"), Poly.x(F3))
-    assert not pencil_irreducible(parse_poly(F3, "X^2"), Poly.x(F3))
-    assert pencil_irreducible(parse_poly(F3, "X+1"), parse_poly(F3, "X^2+1"))
-    with pytest.raises(BothZero):
-        pencil_irreducible(Poly.zero(F3), Poly.zero(F3))
-
-
 def test_pencil_type_enforces_invariants():
     Pencil(parse_poly(F3, "X+1"), Poly.x(F3))
     with pytest.raises(PreconditionViolated):
         Pencil(parse_poly(F3, "X^2"), Poly.x(F3))
     with pytest.raises(PreconditionViolated):
         Pencil(parse_poly(F3, "X+1"), Poly.zero(F3))
-
-
-def test_find_shift_examples():
-    assert find_shift(Poly.x(F5), Poly.one(F5), Poly.x(F5)) == 1
-    assert find_shift(parse_poly(F5, "X+1"), Poly.one(F5), Poly.one(F5)) == 0
-    F2 = PrimeField(2)
-    with pytest.raises(FieldExhausted):
-        find_shift(Poly.x(F2), Poly.one(F2), Poly.x(F2), exclude={0, 1})
-
-
-def test_find_shift_separability():
-    # the shift must avoid the inseparable members of the family
-    a = parse_poly(F7, "X^2")
-    alpha = find_shift(a, Poly.one(F7), parse_poly(F7, "X+1"),
-                       require_separable=True)
-    shifted = a + alpha * Poly.one(F7)
-    assert is_separable(shifted)
-    assert gcd(shifted, parse_poly(F7, "X+1")).is_one()
 
 
 def test_build_c_worked_example():
@@ -103,7 +73,7 @@ def test_build_c_worked_example():
         assert is_separable(hi)
         assert gcd(hi, a * pi).is_one()
     assert gcd(a, c).is_one()
-    assert pencil_irreducible(a, b * c)
+    assert gcd(a, b * c).is_one()
 
 
 def test_build_c_preconditions():

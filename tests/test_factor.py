@@ -14,7 +14,7 @@ from progressio import (
     pow_mod,
 )
 from progressio.errors import ConstantPolynomial, ZeroPolynomial
-from progressio.factor import _distinct_degree
+from progressio.factor import _ben_or
 from progressio.poly import Poly
 
 F2 = PrimeField(2)
@@ -197,7 +197,25 @@ def test_equal_degree_retry_budget_errors_instead_of_looping():
 
     f = parse_poly(F5, "X^2+2") * parse_poly(F5, "X^2+3")
     with pytest.raises(RetryBudgetExceeded):
-        fmod._equal_degree(f, 2, StuckRandom())
+        fmod._equal_degree(list(f.coeffs), 2, 5, StuckRandom())
+
+
+def test_equal_degree_leaves_a_single_factor_untouched(monkeypatch):
+    # An irreducible input needs no X^p, no Frobenius rows and no random draws.
+    import progressio.factor as fmod
+
+    rng = random.Random(11)
+    cases = [(p, d, list(_random_irreducible(rng, PrimeField(p), d).coeffs))
+             for p, d in ((2, 7), (3, 2), (5, 12), (10007, 3), ((1 << 61) - 1, 2))]
+
+    def no_rows(*args):
+        raise AssertionError("Frobenius rows built for a single factor")
+
+    monkeypatch.setattr(fmod, "_frobenius_rows", no_rows)
+    for p, d, f in cases:
+        state = rng.getstate()
+        assert fmod._equal_degree(f, d, p, rng) == [f]
+        assert rng.getstate() == state
 
 
 def test_large_modulus_end_to_end():
@@ -226,6 +244,17 @@ def test_engine_matches_sympy_galoistools():
     gt = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
+    def check(f, seed):
+        p = f.field.modulus
+        dense = list(reversed(f.coeffs))
+        assert is_irreducible(f) == gt.gf_irreducible_p(dense, p, ZZ)
+        lc, ref = gt.gf_factor(dense, p, ZZ)
+        ours = factorize(f, seed=seed)
+        assert int(ours.unit) == lc % p
+        assert sorted((q.coeffs, k) for q, k in ours.factors) == sorted(
+            (tuple(reversed(q)), k) for q, k in ref
+        )
+
     rng = random.Random(4)
     for p in (2, 3, 5, 7, 13, 10007, (1 << 61) - 1):
         field = PrimeField(p)
@@ -237,14 +266,19 @@ def test_engine_matches_sympy_galoistools():
                 m = rng.randrange(1, 4)
                 g = Poly(field, [rng.randrange(p) for _ in range(m)] + [1])
                 f = f * g**2
-            dense = list(reversed(f.coeffs))
-            assert is_irreducible(f) == gt.gf_irreducible_p(dense, p, ZZ)
-            lc, ref = gt.gf_factor(dense, p, ZZ)
-            ours = factorize(f, seed=rng.randrange(100))
-            assert int(ours.unit) == lc % p
-            assert sorted((q.coeffs, k) for q, k in ours.factors) == sorted(
-                (tuple(reversed(q)), k) for q, k in ref
-            )
+            check(f, rng.randrange(100))
+    # f * g^p * k^(p^2): the squarefree step takes a p-th root twice.
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+
+        def monic(degree):
+            return Poly(field, [rng.randrange(p) for _ in range(degree)] + [1])
+
+        for _ in range(10):
+            f = monic(rng.randrange(1, 4)) * rng.randrange(1, p)
+            g, k = monic(rng.randrange(1, 3)), monic(rng.randrange(1, 3))
+            check(f * g**p * k ** (p * p), rng.randrange(100))
 
 
 def _reference_distinct_degree(f):
@@ -291,7 +325,9 @@ def test_distinct_degree_matches_per_degree_reference():
         for f in inputs:
             if not gcd(f, f.derivative()).is_one():
                 continue
-            assert _distinct_degree(f) == _reference_distinct_degree(f), (p, f.degree)
+            ours = list(_ben_or(list(f.coeffs), p))
+            ref = [(list(g.coeffs), d) for g, d in _reference_distinct_degree(f)]
+            assert ours == ref, (p, f.degree)
 
 
 def test_count_irreducibles_examples():

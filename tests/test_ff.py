@@ -109,11 +109,6 @@ def test_elem_int_coercion_and_serial_form():
     assert F(3) + 11 == F(0)
 
 
-def test_elements_iterator():
-    F = PrimeField(5)
-    assert [int(x) for x in F.elements()] == [0, 1, 2, 3, 4]
-
-
 def test_elem_hashable_and_frozen():
     F = PrimeField(7)
     s = {F(1), F(1), F(2)}

@@ -18,7 +18,6 @@ from progressio import (
 from progressio.errors import (
     ClauseFailed,
     DegreeDrop,
-    FieldMismatch,
     MathError,
     NonSquarefreeUnramifiedPart,
     PreconditionViolated,
@@ -93,13 +92,6 @@ def test_ramification_type_rejects_nonlinear_repeats():
     f = parse_poly(F3, "X^2+1") ** 2
     with pytest.raises(NonSquarefreeUnramifiedPart):
         ramification_type(f)
-
-
-def test_ramification_type_characteristic_argument():
-    f = parse_poly(F3, "X^2+1")
-    assert ramification_type(f, 3).n == 2
-    with pytest.raises(FieldMismatch):
-        ramification_type(f, 5)
 
 
 def test_evidence_predicates_hypotheticals():

@@ -260,7 +260,6 @@ def test_pow_and_linear_helpers():
     assert f == parse_poly(F7, "X+5")
     assert f**3 == f * f * f
     assert f**0 == Poly.one(F7)
-    assert Poly.monomial(F7, 3, 4) == parse_poly(F7, "3*X^4")
 
 
 def test_pow_mod_and_compose_mod():
