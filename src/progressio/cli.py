@@ -106,6 +106,15 @@ def _selftest_suites(level: str):
 
     yield "factorization agrees with trial division", factor_agreement
 
+    def search_count(p: int, n: int) -> bool:
+        # a = X+1, b = 1: c -> a + c permutes the degree-n polynomials when n >= 2.
+        r = search_exhaustive(Poly(PrimeField(p), [1, 1]), Poly.one(PrimeField(p)), n)
+        irreducible = (p - 1) * count_irreducibles(p, n)
+        return (len(r.hits), r.scanned) == (irreducible, (p - 1) * p**n)
+
+    yield "exhaustive search agrees with the necklace count", lambda: all(
+        search_count(p, n) for p in moduli for n in range(2, degree_cap + 1))
+
     yield "irreducibility test agrees with the sieve", lambda: all(
         {f for f in _monic_polys(PrimeField(p), n) if is_irreducible(f)}
         == set(enumerate_irreducibles(p, n))
@@ -178,9 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-b", required=True, help="polynomial b (text grammar)")
         sp.add_argument("-n", type=int, required=True, help="target degree")
 
+    header_seed = "only labels the '# seed:' header; the output is deterministic"
     sp = sub.add_parser("construct", help="build and print a certificate")
     add_pencil_args(sp)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help=header_seed)
     sp.add_argument("-o", "--output")
     sp.set_defaults(fn=_cmd_construct)
 
@@ -195,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=("constructed", "exhaustive"), default="constructed"
     )
     sp.add_argument("--max-hits", type=int, default=16)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help=header_seed)
     sp.add_argument("--format", choices=("csv", "structured-text"), default="csv")
     sp.add_argument("-o", "--output")
     sp.set_defaults(fn=_cmd_search)

@@ -13,6 +13,7 @@ irreducible (the n-cycle proportion), so an exhaustive scan over the
 p - 1 nonzero scales should find about p/n hits. About 1 - D_n/n! of them (D_n the
 derangements) have a root x, so are reducible (n >= 2); as alpha = -a(x)/bc(x), one
 pass over F_p marks those, a byte each, so p - 1 is capped at the exhaustive guard.
+The exhaustive scan sieves its constant digit c0 the same way, per higher digits.
 """
 
 from __future__ import annotations
@@ -89,29 +90,36 @@ def search_constructed(a: Poly, b: Poly, n: int, max_hits: int = 16) -> SearchRe
 
 
 def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
-    """Try every c with deg c = n - deg b; a desk-scale brute-force oracle."""
+    """Try every c with deg c = n - deg b; a desk-scale brute-force oracle.
+
+    With c = c0 + X*h, one root sieve of base = a + b*X*h per h marks the c0
+    whose member base + c0*b has a root; for n >= 2 those skip the test.
+    """
     if a.field != b.field:
         raise PreconditionViolated("pencil parts over different fields")
     if b.is_zero() or not gcd(a, b).is_one():
         raise PreconditionViolated("need gcd(a, b) = 1 with b != 0")
     p = a.field.modulus
-    deg_b = int(b.degree)
-    deg_c = n - deg_b
+    deg_c = n - int(b.degree)
     if deg_c < 0:
         return _report(a, b, n, "exhaustive", [], 0)
     if p ** (deg_c + 1) > _EXHAUSTIVE_GUARD:
         raise TooLarge(f"{p}^{deg_c + 1} candidate space exceeds the guard")
+    b_c = list(b.coeffs)
+    # c = c0 + X*h, c0 fastest (code sum order); h: higher digits, lead last, or ().
+    highs = product(range(1, p), *[range(p)] * (deg_c - 1)) if deg_c else [()]
     hits = []
-    scanned = 0
-    for lead in range(1, p):
-        # Reversed, so c_0 runs fastest: the order of the code sum c_i * p^i.
-        for digits in product(range(p), repeat=deg_c):
-            c = [*reversed(digits), lead]
-            member = _add(a.coeffs, _mul(b.coeffs, c, p), p)
-            scanned += 1
+    for top in highs:
+        h = top[::-1]
+        base = _add(a.coeffs, [0, *_mul(b_c, h, p)], p)  # b(x) = 0: base(x) = a(x) != 0
+        marked = _root_sieve(base, b_c, p)
+        for c0 in range(0 if deg_c else 1, p):
+            if n >= 2 and marked[c0]:
+                continue
+            member = _add(base, _mul_scalar(b_c, c0, p), p)
             if len(member) == n + 1 and _rabin_irreducible(member, p):
-                hits.append((a._wrap(c), a._wrap(member)))
-    return _report(a, b, n, "exhaustive", hits, scanned)
+                hits.append((a._wrap([c0, *h]), a._wrap(member)))
+    return _report(a, b, n, "exhaustive", hits, (p - 1) * p**deg_c)
 
 
 def _root_sieve(a_coeffs, bc_coeffs, p: int) -> bytearray:

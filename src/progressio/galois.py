@@ -34,7 +34,7 @@ from .errors import (
 )
 from .factor import factorize
 from .ff import FieldElem, PrimeField
-from .poly import Poly, gcd
+from .poly import Poly
 
 _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -85,27 +85,17 @@ def ramification_type(f_alpha: Poly) -> RamificationType:
 
     Every repeated factor must be linear (the certificate construction
     only ever ramifies at rational points; nonlinear repeated factors are
-    outside the evidence this module is prepared to certify), and the
-    multiplicity-one part must be squarefree.
+    outside the evidence this module is prepared to certify). The other
+    factors are distinct monic irreducibles, so separable over F_p.
     """
     result = factorize(f_alpha)
     exponents: list[int] = []
-    plain = Poly.one(f_alpha.field)
     for factor, mult in result.factors:
         d = int(factor.degree)
-        if mult >= 2:
-            if d != 1:
-                raise NonSquarefreeUnramifiedPart(
-                    f"repeated factor of degree {d} is not linear"
-                )
-            exponents.append(mult)
-        elif d == 1:
-            exponents.append(1)
-        else:
-            exponents.extend([1] * d)
-            plain = plain * factor
-    if plain.degree >= 1 and not gcd(plain, plain.derivative()).is_one():
-        raise NonSquarefreeUnramifiedPart("multiplicity-one part not separable")
+        if mult >= 2 and d != 1:
+            msg = f"repeated factor of degree {d} is not linear"
+            raise NonSquarefreeUnramifiedPart(msg)
+        exponents.extend([mult] * d)  # one point per root, each of index mult
     return _ramification(exponents, f_alpha.field.modulus)
 
 

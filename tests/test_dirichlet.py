@@ -88,6 +88,34 @@ def test_search_exhaustive_small_scale():
     assert [c for c, _ in report.hits] == expected
 
 
+@pytest.mark.parametrize("p, a, b, n", [
+    (2, "X+1", "1", 5),
+    (2, "1", "X^2+X", 5),  # b vanishes on all of F_2
+    (3, "X^2+1", "X+1", 4),
+    (3, "X+1", "X^2+1", 2),  # deg c = 0
+    (5, "X^3+X+1", "X^2+4", 3),  # the lead cancels at c_1 = 4
+    (5, "X+3", "1", 1),  # n = 1: rooted members are the hits
+    (7, "2", "X+3", 1),  # n = 1 and deg c = 0
+    (7, "3*X^2+1", "X+2", 2),
+])
+def test_search_exhaustive_matches_the_plain_loop(p, a, b, n):
+    # Unsieved reference: every c in order (lead, then the code sum c_0 + p*c_1 + ...).
+    field = PrimeField(p)
+    a, b = parse_poly(field, a), parse_poly(field, b)
+    deg_c = n - int(b.degree)
+    hits, scanned = [], 0
+    for lead in range(1, p):
+        for code in range(p**deg_c):
+            c = Poly(field, [code // p**i % p for i in range(deg_c)] + [lead])
+            member = a + b * c
+            scanned += 1
+            if member.degree == n and is_irreducible(member):
+                hits.append((c, member))
+    report = search_exhaustive(a, b, n)
+    assert list(report.hits) == hits
+    assert report.scanned == scanned
+
+
 def test_search_exhaustive_no_admissible_c():
     report = search_exhaustive(parse_poly(F3, "X+1"), parse_poly(F3, "X^2+1"), 1)
     assert report.hits == () and report.scanned == 0

@@ -238,6 +238,32 @@ def test_large_modulus_end_to_end():
     assert factorize(h, seed=2).expand() == h
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
+    # X^p mod f and the rows X^(i*p) mod f, by multiply-by-X steps and by
+    # mulmods, on both sides of poly's size switch; pow_mod is the oracle.
+    import progressio.factor as fmod
+    from progressio.poly import _reducer
+
+    rng = random.Random(p)
+    field = PrimeField(p)
+    for n in (1, 2, 8, 9, 33):
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        rem = _reducer(f, p)
+        routes = []
+        for switch in (p + 1, p):  # shift steps, then mulmods
+            monkeypatch.setattr(fmod, "_SHIFT_SWITCH", switch)
+            xp = fmod._times_xp([1], f, rem, p)
+            routes.append((xp, fmod._frobenius_rows(xp, f, rem, p)))
+        assert routes[0] == routes[1]
+        xp, rows = routes[0]
+        modulus = Poly(field, f)
+        assert Poly(field, xp) == pow_mod(Poly.x(field), p, modulus)
+        assert len(rows) == n
+        for i, row in enumerate(rows):
+            assert Poly(field, row) == pow_mod(Poly.x(field), i * p, modulus)
+
+
 def test_engine_matches_sympy_galoistools():
     # Seeded differential check against an independent implementation;
     # about 30% of the inputs carry a repeated factor g^2.
