@@ -48,7 +48,6 @@ from .oracle import enumerate_irreducibles, naive_factor, naive_mul
 from .poly import (
     Poly,
     ZERO_DEGREE,
-    compose_mod,
     format_poly,
     gcd,
     is_separable,
@@ -79,7 +78,6 @@ __all__ = [
     "certificate_violations",
     "certify_sn",
     "choose_e",
-    "compose_mod",
     "count_irreducibles",
     "cycle_type_histogram",
     "density_scan",

@@ -1,9 +1,9 @@
 """Worker-pool plumbing for embarrassingly parallel scans.
 
 The environment variable PROGRESSIO_THREADS caps the number of worker
-processes; unset or 0 means one worker per CPU. Work is split into
-contiguous chunks and merged additively, so results never depend on the
-partition or on completion order.
+processes, which never exceeds the CPU count; unset or 0 means one per CPU.
+Work is split into contiguous chunks and merged additively, so results
+never depend on the partition or on completion order.
 """
 
 from __future__ import annotations
@@ -13,23 +13,25 @@ from concurrent.futures import ProcessPoolExecutor
 
 
 def worker_count() -> int:
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("PROGRESSIO_THREADS", "0").strip()
     try:
         requested = int(raw)
     except ValueError:
         requested = 0
     if requested <= 0:
-        return os.cpu_count() or 1
-    return requested
+        return cpus
+    return min(requested, cpus)
 
 
 def run_chunked(fn, jobs: list, workers: int | None = None) -> list:
     """Apply fn to each job tuple, possibly across processes; keep order."""
     if workers is None:
         workers = worker_count()
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
 

@@ -249,10 +249,8 @@ def build_stable(a: Poly, b: Poly, n: int, seed: int = 0) -> StableCertificate:
     exponent window is empty, and FieldTooSmall when the field cannot host
     the selections.
     """
-    field = a.field
-    if field != b.field:
-        raise PreconditionViolated("pencil parts over different fields")
     Pencil(a, b)
+    field = a.field
     if not (n > a.degree and n > b.degree):
         raise PreconditionViolated("need n above both pencil degrees")
     p = field.modulus

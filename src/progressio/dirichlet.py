@@ -23,10 +23,10 @@ from fractions import Fraction
 from itertools import product
 
 from ._par import run_chunked, split_range, worker_count
-from .construct import StableCertificate, build_stable, verify_certificate
+from .construct import Pencil, StableCertificate, build_stable, verify_certificate
 from .errors import PreconditionViolated, TooLarge
 from .factor import _rabin_irreducible, is_irreducible
-from .poly import Poly, _add, _eval, _mul, _mul_scalar, format_poly, gcd
+from .poly import Poly, _add, _eval, _mul, _mul_scalar, format_poly
 
 _EXHAUSTIVE_GUARD = 10**7
 
@@ -95,10 +95,7 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     With c = c0 + X*h, one root sieve of base = a + b*X*h per h marks the c0
     whose member base + c0*b has a root; for n >= 2 those skip the test.
     """
-    if a.field != b.field:
-        raise PreconditionViolated("pencil parts over different fields")
-    if b.is_zero() or not gcd(a, b).is_one():
-        raise PreconditionViolated("need gcd(a, b) = 1 with b != 0")
+    Pencil(a, b)
     p = a.field.modulus
     deg_c = n - int(b.degree)
     if deg_c < 0:

@@ -14,12 +14,13 @@ the X^(p^e) - X over a block, and one per degree only when that gcd is nontrivia
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
-equal-degree splitting on the same rows, all on raw coefficient lists:
-``Poly`` appears only at ``factorize``'s boundary, which unwraps its input
-once and wraps the finished irreducibles. Every randomized routine takes
-an explicit seed and gives a canonically ordered result, so equal seeds
-give byte-identical output; the splitting retry budget is 64 shots per
-degree, after which the routine errors rather than looping silently.
+equal-degree splitting on the loop's rows restricted to each piece, all on raw
+coefficient lists: ``Poly`` appears only at ``factorize``'s boundary. Factor
+degrees (cycle types) need only the first two stages, so draw nothing. Every
+randomized routine takes an explicit seed and gives a canonically ordered
+result, so equal seeds give byte-identical output; the splitting retry
+budget is 64 shots per degree, after which the routine errors rather than
+looping silently.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .poly import (
     _deriv,
     _divmod,
     _gcd,
-    _mod,
     _monic,
     _mul,
     _pack,
@@ -131,10 +131,10 @@ def _frob(h: list[int], packed: tuple[int, list], p: int) -> list[int]:
 
 
 def _ben_or(f: list[int], p: int):
-    # f monic, degree >= 1. Yields (gcd(X^(p^d) - X, rest), d) whenever that
-    # gcd is nontrivial, dividing it out of rest, then (rest, deg rest).
-    # No degree in a block [d, 2d) divides another, so the block gcd holds
-    # exactly the factors of the block's degrees.
+    # f monic, degree >= 1. Yields (gcd(X^(p^d) - X, rest), d, rows) when that gcd
+    # is nontrivial, dividing it out of rest, then (rest, deg rest, rows); rows are
+    # X^(i*p) mod rest, [] before d = 2. No degree in a block [d, 2d) divides
+    # another, so the block gcd holds exactly the factors of the block's degrees.
     rest = f
     rows: list[list[int]] = []
     rem = _reducer(rest, p)  # a -> a mod rest, rebuilt whenever rest shrinks
@@ -157,7 +157,7 @@ def _ben_or(f: list[int], p: int):
                 break
             g = _gcd(he, block, p)
             if len(g) > 1:
-                yield g, e
+                yield g, e, rows
                 rest = _divmod(rest, g, p)[0]
         if len(rest) < size:
             rem = _reducer(rest, p)
@@ -167,7 +167,7 @@ def _ben_or(f: list[int], p: int):
                 packed = _packed(rows, p)
         d = top + 1
     if len(rest) > 1:
-        yield rest, len(rest) - 1
+        yield rest, len(rest) - 1, rows
 
 
 def _rabin_irreducible(coeffs, p: int) -> bool:
@@ -215,17 +215,24 @@ def _squarefree_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
         mult *= p
 
 
-def _equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    # f monic squarefree, all irreducible factors of degree exactly d. A random
-    # t splits g by its trace t + t^2 + ... + t^(2^(d-1)) (p = 2) or by
-    # t^((p^d-1)/2) = (t * t^p * ... * t^(p^(d-1)))^((p-1)/2) (odd p).
-    if len(f) == d + 1:  # one factor: no X^p, no rows, no draws
-        return [f]
+def _factor_degrees(f: list[int], p: int) -> list[tuple[int, int]]:
+    # Sorted (degree, multiplicity) of every irreducible factor of the raw list f,
+    # read off the squarefree parts and Ben-Or's products: no splitting, no draws.
+    if not f:
+        raise ZeroPolynomial("cannot factor the zero polynomial")
+    out: list[tuple[int, int]] = []
+    if len(f) > 1:
+        for part, mult in _squarefree_list(_monic(f, p), p):
+            for prod, d, _ in _ben_or(part, p):
+                out += [(d, mult)] * ((len(prod) - 1) // d)
+    return sorted(out)
+
+
+def _equal_degree(f: list[int], d: int, p: int, rng: random.Random, rows: list) -> list:
+    # f monic squarefree, its factors all of degree d; rows: X^(i*p) mod a multiple
+    # of f. A random t splits g by its trace t + t^2 + ... + t^(2^(d-1)) (p = 2)
+    # or by t^((p^d-1)/2) = (t * t^p * ... * t^(p^(d-1)))^((p-1)/2) (odd p).
     budget = 64 * (len(f) - 1)
-    rem = _reducer(f, p)  # also serves the first piece, f itself
-    rows = []
-    if d > 1:
-        rows = _frobenius_rows(_times_xp([1], f, rem, p), f, rem, p)
     pieces = [f]
     done: list[list[int]] = []
     while pieces:
@@ -233,8 +240,8 @@ def _equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list
         if len(g) == d + 1:
             done.append(g)
             continue
-        g_rows = _packed([_mod(r, g, p) for r in rows[: len(g) - 1]], p)
-        rem = rem if g is f else _reducer(g, p)
+        rem = _reducer(g, p)
+        g_rows = _packed([rem(r) for r in rows[: len(g) - 1]], p)
         while True:
             if budget <= 0:
                 raise RetryBudgetExceeded(
@@ -306,8 +313,8 @@ def factorize(f: Poly, seed: int = 0) -> FactorizationResult:
     rng = random.Random(seed)
     found: list[tuple[Poly, int]] = []
     for part, mult in _squarefree_list(_monic(f.coeffs, p), p):
-        for prod, d in _ben_or(part, p):
-            for irr in _equal_degree(prod, d, p, rng):
+        for prod, d, rows in _ben_or(part, p):
+            for irr in _equal_degree(prod, d, p, rng, rows):
                 found.append((f._wrap(irr), mult))
     found.sort(key=lambda pair: _graded_lex_key(pair[0]))
     return FactorizationResult(unit, tuple(found))

@@ -13,9 +13,9 @@ certificate clauses: transitivity from gcd(a, b) = gcd(a, c) = 1, which is
 stable under constant-field extension, and the long cycle and the
 transposition from the inertia types the verified witness identities fix.
 A transitive group containing both (with n/2 < e < n, gcd(e, n) = 1) is the
-full symmetric group. ``ramification_type`` recovers those types by
-factoring, as an independent cross-check; ``cycle_type_histogram`` is
-empirical evidence, kept deliberately separate from certification.
+full symmetric group. ``ramification_type`` recovers those types from factor
+degrees and multiplicities as an independent cross-check (nothing is split or
+drawn); ``cycle_type_histogram`` is empirical evidence, kept apart from certification.
 """
 
 from __future__ import annotations
@@ -32,17 +32,9 @@ from .errors import (
     NonSquarefreeUnramifiedPart,
     PreconditionViolated,
 )
-from .factor import factorize
-from .ff import FieldElem, PrimeField
-from .poly import Poly
-
-_SEED_MIX = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-
-def derive_seed(seed: int, alpha: int) -> int:
-    """Per-specialization seed, independent of scan partitioning."""
-    return (seed ^ (alpha * _SEED_MIX)) & _MASK64
+from .factor import _factor_degrees
+from .ff import FieldElem
+from .poly import Poly, _add, _mul_scalar
 
 
 def specialize(pencil_c: tuple[Poly, Poly, Poly], alpha: FieldElem | int) -> Poly:
@@ -86,12 +78,11 @@ def ramification_type(f_alpha: Poly) -> RamificationType:
     Every repeated factor must be linear (the certificate construction
     only ever ramifies at rational points; nonlinear repeated factors are
     outside the evidence this module is prepared to certify). The other
-    factors are distinct monic irreducibles, so separable over F_p.
+    factors are distinct monic irreducibles, so separable over F_p. Only
+    their degrees and multiplicities are computed, with no random draws.
     """
-    result = factorize(f_alpha)
     exponents: list[int] = []
-    for factor, mult in result.factors:
-        d = int(factor.degree)
+    for d, mult in _factor_degrees(list(f_alpha.coeffs), f_alpha.field.modulus):
         if mult >= 2 and d != 1:
             msg = f"repeated factor of degree {d} is not linear"
             raise NonSquarefreeUnramifiedPart(msg)
@@ -212,22 +203,18 @@ def certify_sn(cert: StableCertificate) -> SnCertificate:
 
 
 def _histogram_chunk(job):
-    p, a_coeffs, bc_coeffs, alphas, seed = job
-    field = PrimeField(p)
-    a = Poly(field, a_coeffs)
-    bc = Poly(field, bc_coeffs)
+    p, a, bc, alphas = job
     counts: Counter = Counter()
     skipped = 0
     for alpha in alphas:
         if alpha % p == 0:
             skipped += 1
             continue
-        member = a + alpha * bc
-        result = factorize(member, seed=derive_seed(seed, alpha))
-        if any(mult > 1 for _, mult in result.factors):
+        factors = _factor_degrees(_add(a, _mul_scalar(bc, alpha, p), p), p)
+        if any(mult > 1 for _, mult in factors):
             skipped += 1
             continue
-        counts[result.degrees()] += 1
+        counts[tuple(sorted((d for d, _ in factors), reverse=True))] += 1
     return counts, skipped
 
 
@@ -252,28 +239,24 @@ def cycle_type_histogram(
     seed: int = 0,
     workers: int | None = None,
 ) -> CycleTypeHistogram:
-    """Factor a + alpha*b*c over a sample of alphas and bin the cycle types.
+    """Bin the cycle types of a + alpha*b*c over a sample of alphas.
 
-    Specializations at 0 or with repeated factors are skipped and counted;
-    they are the finitely many branch points, not errors. Per-alpha
-    factorization seeds derive from (seed, alpha), so the result does not
-    depend on how the sample is partitioned across workers.
+    A cycle type is the factor-degree multiset, read off the squarefree and
+    distinct-degree stages with no random draws, so ``seed`` is unused (kept
+    for callers that pass it) and no partition across workers can change the
+    result. Specializations at 0 or with repeated factors are skipped and
+    counted; they are the finitely many branch points, not errors.
     """
     a, b, c = pencil_c
     if a.field != b.field or a.field != c.field:
         raise PreconditionViolated("pencil parts over different fields")
     p = a.field.modulus
     alphas = sorted({int(a.field(x)) for x in sample})
-    if not alphas:
-        return CycleTypeHistogram({}, 0)
     if workers is None:
         workers = worker_count()
     bc = b * c
     spans = split_range(0, len(alphas), workers * 4)
-    jobs = [
-        (p, list(a.coeffs), list(bc.coeffs), alphas[lo:hi], seed)
-        for lo, hi in spans
-    ]
+    jobs = [(p, list(a.coeffs), list(bc.coeffs), alphas[lo:hi]) for lo, hi in spans]
     merged: Counter = Counter()
     skipped = 0
     for counts, skip in run_chunked(_histogram_chunk, jobs, workers):

@@ -7,9 +7,9 @@ the zero polynomial is the sentinel ``ZERO_DEGREE`` (minus infinity), which
 compares below every integer but poisons arithmetic instead of silently
 acting like -1.
 
-Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``, ``compose_mod``)
-operate on Poly values; the underscore-prefixed kernels work on raw
-coefficient lists and carry the performance-sensitive inner loops.
+Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``) operate on Poly
+values; the underscore-prefixed kernels work on raw coefficient lists and
+carry the performance-sensitive inner loops.
 
 One size switch, ``_SIZE_SWITCH``, picks the method of the one multiply and
 the one remainder: below it schoolbook and long division; from it on, ``_mul``
@@ -211,7 +211,7 @@ def _pow_mod(base: Sequence[int], k: int, rem, p: int) -> list[int]:
 
 
 def _compose_mod(outer, inner, modulus, p):
-    # Horner evaluation of outer at inner, reduced mod modulus.
+    # outer(inner) mod modulus by Horner; only benchmarks/tracing.py binds it.
     rem = _reducer(modulus, p)
     result: list[int] = []
     for coeff in reversed(list(outer)):
@@ -437,17 +437,6 @@ def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
         raise ZeroDivisionError("pow_mod modulus is zero")
     p = base.field.modulus
     return base._wrap(_pow_mod(base.coeffs, k, _reducer(modulus.coeffs, p), p))
-
-
-def compose_mod(outer: Poly, inner: Poly, modulus: Poly) -> Poly:
-    """outer(inner) reduced modulo a nonzero polynomial."""
-    if outer.field != inner.field or outer.field != modulus.field:
-        raise FieldMismatch("compose_mod operands over different fields")
-    if modulus.is_zero():
-        raise ZeroDivisionError("compose_mod modulus is zero")
-    return outer._wrap(
-        _compose_mod(outer.coeffs, inner.coeffs, modulus.coeffs, outer.field.modulus)
-    )
 
 
 def is_separable(f: Poly) -> bool:

@@ -132,6 +132,17 @@ def test_search_exhaustive_requires_coprime():
         search_exhaustive(parse_poly(F3, "X^2"), Poly.x(F3), 4)
 
 
+@pytest.mark.parametrize("a, b", [
+    (parse_poly(F7, "X+1"), Poly.one(F5)),
+    (parse_poly(F7, "X+1"), Poly.zero(F7)),
+    (parse_poly(F7, "X^2+X"), Poly.x(F7)),
+], ids=["mixed-fields", "b-zero", "not-coprime"])
+@pytest.mark.parametrize("entry", [build_stable, search_constructed, search_exhaustive])
+def test_every_entry_checks_the_pencil(entry, a, b):
+    with pytest.raises(PreconditionViolated, match="pencil"):
+        entry(a, b, 7)
+
+
 def test_constructed_hits_within_exhaustive():
     # the one desk-scale instance where both strategies run end to end
     a = parse_poly(F5, "X+1")

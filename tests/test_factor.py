@@ -196,25 +196,22 @@ def test_equal_degree_retry_budget_errors_instead_of_looping():
             return 0
 
     f = parse_poly(F5, "X^2+2") * parse_poly(F5, "X^2+3")
+    ((g, d, rows),) = _ben_or(list(f.coeffs), 5)
+    assert (g, d) == (list(f.coeffs), 2)
     with pytest.raises(RetryBudgetExceeded):
-        fmod._equal_degree(list(f.coeffs), 2, 5, StuckRandom())
+        fmod._equal_degree(g, d, 5, StuckRandom(), rows)
 
 
-def test_equal_degree_leaves_a_single_factor_untouched(monkeypatch):
-    # An irreducible input needs no X^p, no Frobenius rows and no random draws.
+def test_equal_degree_leaves_a_single_factor_untouched():
+    # An irreducible input needs no Frobenius rows and no random draws.
     import progressio.factor as fmod
 
     rng = random.Random(11)
     cases = [(p, d, list(_random_irreducible(rng, PrimeField(p), d).coeffs))
              for p, d in ((2, 7), (3, 2), (5, 12), (10007, 3), ((1 << 61) - 1, 2))]
-
-    def no_rows(*args):
-        raise AssertionError("Frobenius rows built for a single factor")
-
-    monkeypatch.setattr(fmod, "_frobenius_rows", no_rows)
     for p, d, f in cases:
         state = rng.getstate()
-        assert fmod._equal_degree(f, d, p, rng) == [f]
+        assert fmod._equal_degree(f, d, p, rng, None) == [f]  # None: rows unread
         assert rng.getstate() == state
 
 
@@ -353,7 +350,49 @@ def test_distinct_degree_matches_per_degree_reference():
                 continue
             ours = list(_ben_or(list(f.coeffs), p))
             ref = [(list(g.coeffs), d) for g, d in _reference_distinct_degree(f)]
-            assert ours == ref, (p, f.degree)
+            assert [(g, d) for g, d, _ in ours] == ref, (p, f.degree)
+            x = Poly.x(field)
+            for g, d, rows in ours:  # X^(i*p) mod a multiple of g, from d = 2 on
+                if d == 1:
+                    assert rows == []
+                elif len(g) > d + 1:
+                    modulus = Poly(field, g)
+                    assert [Poly(field, r) % modulus for r in rows[: len(g) - 1]] == [
+                        pow_mod(x, i * p, modulus) for i in range(len(g) - 1)
+                    ]
+
+
+def test_frobenius_data_built_once_per_squarefree_part(monkeypatch):
+    # _ben_or alone builds X^p and the rows; the splitting stage restricts them.
+    import progressio.factor as fmod
+
+    built = []
+    frobenius_rows, times_xp = fmod._frobenius_rows, fmod._times_xp
+
+    def count_rows(xp, f, rem, p):
+        built.append("rows")
+        return frobenius_rows(xp, f, rem, p)
+
+    def count_xp(g, f, rem, p, xp=None):
+        if g == [1] and xp is None:  # X^p mod f from scratch
+            built.append("xp")
+        return times_xp(g, f, rem, p, xp)
+
+    monkeypatch.setattr(fmod, "_frobenius_rows", count_rows)
+    monkeypatch.setattr(fmod, "_times_xp", count_xp)
+    rng = random.Random(29)
+    for p in (2, 3, 5, 10007, (1 << 61) - 1):
+        field = PrimeField(p)
+        for degrees in ((3, 3, 4, 4, 5, 5), (1, 1, 2, 2, 2, 6, 6)):
+            f = Poly.one(field)
+            for k in degrees:
+                f = f * _random_irreducible(rng, field, k)
+            f = f * _random_irreducible(rng, field, 2) ** 2
+            parts = fmod._squarefree_list(fmod._monic(f.coeffs, p), p)
+            built.clear()
+            assert factorize(f, seed=rng.randrange(100)).expand() == f
+            assert built.count("rows") <= len(parts)
+            assert built.count("xp") <= len(parts)
 
 
 def test_count_irreducibles_examples():
