@@ -7,8 +7,9 @@ The irreducibility test stops at the first nontrivial gcd. Frobenius is
 applied as the F_p-linear Berlekamp Q-matrix, the rows X^(i*p) mod f
 built from X^p mod f (packed into Kronecker ints above the size switch),
 so no exponent grows with p^d. Below p = 8 (``_SHIFT_SWITCH``), X^p and each row
-X^p * row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11: rows 2-4x
-faster at p <= 7, 2x slower at p = 11, 13 from deg 32). Above the size switch,
+X^p * row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11, deg 8-32: rows
+1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on, a row is a
+mulmod, and X^p a squaring per bit of p plus a shift per 1 bit. Above the size switch,
 degrees d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd with the product of
 the X^(p^e) - X over a block, and one per degree only when that gcd is nontrivial.
 
@@ -50,6 +51,7 @@ from .poly import (
     _reducer,
     _slot_bytes,
     _sub,
+    _times_x,
     _trim,
     _unpack,
     format_poly,
@@ -91,15 +93,13 @@ def count_irreducibles(p: int, n: int) -> int:
 
 def _times_xp(g: list[int], f: list[int], rem, p: int, xp=None) -> list[int]:
     # X^p * g mod f, f monic, g reduced; xp = X^p mod f is computed when not given.
-    if p >= _SHIFT_SWITCH:
-        return rem(_mul(g, xp or _pow_mod([0, 1], p, rem, p), p))
-    g = g + [0] * (len(f) - 1 - len(g))
-    for _ in range(p):  # each step O(deg f)
-        t = g[-1]
-        g = [0, *g[:-1]]
-        if t:  # t * X^n = -t * (f - X^n) mod f
-            g = [(gi - t * fi) % p for gi, fi in zip(g, f)]
-    return _trim(g)
+    if p < _SHIFT_SWITCH:
+        return _times_x(g, f, p, p)
+    if xp is None:
+        xp = _times_x([1], f, p)
+        for bit in bin(p)[3:]:
+            xp = _times_x(rem(_mul(xp, xp, p)), f, p, int(bit))
+    return rem(_mul(g, xp, p))
 
 
 def _frobenius_rows(xp: list[int], f: list[int], rem, p: int) -> list[list[int]]:

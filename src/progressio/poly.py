@@ -11,12 +11,11 @@ Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``) operate on Poly
 values; the underscore-prefixed kernels work on raw coefficient lists and
 carry the performance-sensitive inner loops.
 
-One size switch, ``_SIZE_SWITCH``, picks the method of the one multiply and
-the one remainder: below it schoolbook and long division; from it on, ``_mul``
-is Kronecker substitution (von zur Gathen & Gerhard, Modern Computer Algebra,
-8.4: pack into one int with slots for min(len a, len b)·(p−1)², multiply once
-in C, unpack), and ``_reducer`` precomputes the Newton inverse of the reversed
-modulus (ibid., 9.1), so a remainder of a product costs two multiplies.
+One multiply and one remainder, both packed into ints (von zur Gathen & Gerhard,
+Modern Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for
+min(len a, len b)·(p−1)², one multiply in C) but for pairs too short to repay it.
+``_reducer`` combines the packed rows X^(n+i) mod f below ``_SIZE_SWITCH``, and from
+it on uses the Newton inverse of the reversed modulus (ibid., 9.1).
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -36,7 +35,7 @@ from .ff import FieldElem, PrimeField
 
 ZERO_DEGREE = float("-inf")
 
-# Shorter operand length, or modulus degree, from which Kronecker and Newton win.
+# Modulus degree from which the Newton inverse replaces the packed remainder table.
 _SIZE_SWITCH = 9
 
 _BYTE_ORDER = sys.byteorder
@@ -69,10 +68,6 @@ def _sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _neg(a: Sequence[int], p: int) -> list[int]:
-    return [(-ai) % p for ai in a]
-
-
 def _slot_bytes(terms: int, p: int) -> int:
     # Bytes per Kronecker slot that hold a sum of `terms` products, no carry.
     k = ((terms * (p - 1) ** 2).bit_length() + 7) // 8
@@ -97,18 +92,21 @@ def _unpack(x: int, k: int, n: int, p: int) -> list[int]:
 def _mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     if not a or not b:
         return []
-    short = min(len(a), len(b))
-    if short < _SIZE_SWITCH:
-        out = [0] * (len(a) + len(b) - 1)
+    la, lb = len(a), len(b)
+    # Schoolbook/Kronecker time, CPython 3.11, p = 10007: 2x16 1.0, 3x12 1.1, 5x6 1.2,
+    # 8x8 1.8, 2x65 1.7; slots over 8 bytes pack slowly, p = 2^61 - 1: 8x8 1.0,
+    # 10x10 0.7, 12x12 1.2, 5x65 1.0, 8x65 1.3.
+    if la * lb < 30 or la * lb < 5 * (la + lb) and _slot_bytes(min(la, lb), p) > 8:
+        out = [0] * (la + lb - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return _trim([v % p for v in out])
-    k = _slot_bytes(short, p)
+    k = _slot_bytes(min(la, lb), p)
     x = _pack(a, k)
     y = x if a is b else _pack(b, k)
-    return _trim(_unpack(x * y, k, len(a) + len(b) - 1, p))
+    return _trim(_unpack(x * y, k, la + lb - 1, p))
 
 
 def _mul_scalar(a: Sequence[int], s: int, p: int) -> list[int]:
@@ -143,15 +141,29 @@ def _mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _divmod(a, b, p)[1]
 
 
-def _reducer(f: Sequence[int], p: int):
-    # a -> a mod f; from the size switch on, by the inverse of reversed f.
+def _times_x(g: list[int], f: Sequence[int], p: int, times: int = 1) -> list[int]:
+    # X^times * g mod f, f monic, g reduced: one shift step of O(deg f) per power.
     n = len(f) - 1
-    if n < _SIZE_SWITCH:
+    for _ in range(times):
+        t = g[-1] if len(g) == n else 0
+        g = [0, *g[: n - 1]]
+        if t:  # t * X^n = -t * (f - X^n) mod f
+            g = [(gi - t * fi) % p for gi, fi in zip(g, f)]
+    return _trim(g)
+
+
+def _reducer(f: Sequence[int], p: int):
+    # a -> a mod f; if n < len a < 2n, from the switch on by the inverse of reversed f,
+    # below it by packed rows X^(n+i) mod f (f monic, n >= 6: 1.3-2.2x long division).
+    n = len(f) - 1
+    if n < 6 or n < _SIZE_SWITCH and f[-1] != 1:
         return lambda a: _divmod(a, f, p)[1]
+    k = _slot_bytes(n, p)  # a table slot sums p - 1 and n - 1 products
+    table: list[int] = []
     rev = f[::-1]
     inv = [pow(f[-1], -1, p)]
     prec = 1
-    while prec < n - 1:
+    while n >= _SIZE_SWITCH and prec < n - 1:
         prec = min(2 * prec, n - 1)
         err = _mul(_mul(inv, inv, p), rev[:prec], p)[:prec]
         inv = _sub(_mul_scalar(inv, 2, p), err, p)
@@ -160,9 +172,17 @@ def _reducer(f: Sequence[int], p: int):
         m = len(a) - n
         if not 0 < m < n:
             return _divmod(a, f, p)[1]
-        q_rev = _mul(a[: n - 1 : -1], inv[:m], p)[:m]
-        q = [0] * (m - len(q_rev)) + q_rev[::-1]
-        return _sub(a[:n], _mul(q, f, p)[:n], p)
+        if n >= _SIZE_SWITCH:
+            q_rev = _mul(a[: n - 1 : -1], inv[:m], p)[:m]
+            q = [0] * (m - len(q_rev)) + q_rev[::-1]
+            return _sub(a[:n], _mul(q, f, p)[:n], p)
+        if not table:
+            row = [0] * (n - 1) + [1]
+            for _ in range(n - 1):
+                row = _times_x(row, f, p)
+                table.append(_pack(row, k))
+        x = _pack(a[:n], k) + sum(c * t for c, t in zip(a[n:], table))
+        return _trim(_unpack(x, k, n, p))
 
     return rem
 
@@ -345,7 +365,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._wrap(_neg(self.coeffs, self.field.modulus))
+        return self._wrap([(-c) % self.field.modulus for c in self.coeffs])
 
     def __divmod__(self, other):
         oc = self._coerce(other)

@@ -261,6 +261,27 @@ def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
             assert Poly(field, row) == pow_mod(Poly.x(field), i * p, modulus)
 
 
+@pytest.mark.parametrize("p", [8, 11, 13, 10007, (1 << 61) - 1])
+def test_square_and_shift_xp_matches_pow_mod(p):
+    # From p = 8 on, X^p mod f is a squaring mulmod per bit of p and a shift step
+    # per 1 bit; the oracle is right-to-left powering with long division. p = 8,
+    # where this route starts, is no prime: the identity holds over Z/8 as well.
+    import progressio.factor as fmod
+    from progressio.poly import _divmod, _mul, _pow_mod, _reducer
+
+    rng = random.Random(p)
+    for n in (1, 2, 8, 9, 33, 128):
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        g = [rng.randrange(p) for _ in range(n - 1)] + [1]
+        rem = _reducer(f, p)
+        xp = _pow_mod([0, 1], p, lambda a: _divmod(a, f, p)[1], p)
+        assert fmod._times_xp([1], f, rem, p) == xp, (p, n)
+        assert fmod._times_xp(g, f, rem, p) == _divmod(_mul(g, xp, p), f, p)[1]
+        if p != 8:
+            field = PrimeField(p)
+            assert Poly(field, xp) == pow_mod(Poly.x(field), p, Poly(field, f))
+
+
 def test_engine_matches_sympy_galoistools():
     # Seeded differential check against an independent implementation;
     # about 30% of the inputs carry a repeated factor g^2.

@@ -171,14 +171,16 @@ KERNEL_MODULI = (2, 3, 101, 10007, (1 << 61) - 1)
 
 
 def test_mul_matches_convolution_across_the_size_switch():
-    # Lengths below, at and far above the switch, unbalanced pairs such as
-    # 2 x 128, and squares (one packed operand); at 2^61 - 1 a slot is wider
-    # than 8 bytes.
+    # Lengths on both sides of the multiply crossover (la*lb = 30 with slots of up
+    # to 8 bytes, la*lb = 5(la + lb) with wider ones, as at 2^61 - 1), unbalanced
+    # pairs such as 2 x 128 and 5 x 65, and squares (one packed operand).
     rng = random.Random(37)
-    lengths = [1, 2, _SIZE_SWITCH - 1, _SIZE_SWITCH, _SIZE_SWITCH + 1, 64, 128, 300]
+    lengths = [1, 2, 4, 5, 6, _SIZE_SWITCH - 1, _SIZE_SWITCH, _SIZE_SWITCH + 1, 64, 128, 300]
+    crossover = [(2, 14), (2, 15), (3, 10), (5, 6), (4, 8), (5, 65), (65, 5), (4, 65),
+                 (8, 65), (8, 8), (10, 10), (12, 12), (6, 30), (6, 31)]
     for p in KERNEL_MODULI:
         field = PrimeField(p)
-        pairs = [(2, 128), (128, 2), (_SIZE_SWITCH, 300)] + [
+        pairs = [(2, 128), (128, 2), (_SIZE_SWITCH, 300)] + crossover + [
             (rng.choice(lengths), rng.choice(lengths)) for _ in range(6)
         ]
         for la, lb in pairs:
@@ -187,7 +189,7 @@ def test_mul_matches_convolution_across_the_size_switch():
             assert f * g == naive_mul(f, g), (p, la, lb)
         f = rand_poly(rng, field, 150)
         assert f * f == naive_mul(f, f)
-        for n in (_SIZE_SWITCH, 64, 200):
+        for n in (5, 6, _SIZE_SWITCH, 64, 200):
             top = Poly(field, [p - 1] * n)  # every slot at its largest sum
             assert top * top == naive_mul(top, top)
         for terms in range(1, 1000):
@@ -209,6 +211,44 @@ def test_divmod_identity_below_and_above_the_switch():
                 assert naive_mul(q, b) + r == a
                 assert r.degree < b.degree
                 assert Poly(field, rem(list(a.coeffs))) == r, (p, deg_a, deg_b)
+
+
+def test_remainder_table_matches_long_division():
+    # Every input length 0..2n+1 for monic f of degree 1..8: the table serves
+    # 6 <= n < len a < 2n, long division the rest. Inputs of all p - 1 fill each
+    # slot to (p - 1) + (n - 1)(p - 1)^2, its bound.
+    rng = random.Random(47)
+    for p in KERNEL_MODULI:
+        field = PrimeField(p)
+        for n in range(1, _SIZE_SWITCH):
+            for f in ([rng.randrange(p) for _ in range(n)] + [1], [p - 1] * n + [1]):
+                rem = _reducer(f, p)
+                for length in range(2 * n + 2):
+                    for a in ([rng.randrange(p) for _ in range(length)], [p - 1] * length):
+                        want = divmod(Poly(field, a), Poly(field, f))[1]
+                        assert Poly(field, rem(a)) == want, (p, n, length)
+
+
+def test_remainder_table_only_for_monic_moduli_and_only_when_used(monkeypatch):
+    import progressio.poly as pmod
+
+    built = []
+    times_x = pmod._times_x
+    monkeypatch.setattr(pmod, "_times_x", lambda *args: built.append(1) or times_x(*args))
+    rng = random.Random(53)
+    for p in KERNEL_MODULI:
+        field = PrimeField(p)
+        for lead in (1, 2) if p > 2 else (1,):
+            f = [rng.randrange(p) for _ in range(8)] + [lead]
+            rem = _reducer(f, p)
+            for length in (0, 3, 8, 16, 17, 40):  # none with 8 < length < 16
+                a = [rng.randrange(p) for _ in range(length - 1)] + [1] if length else []
+                assert Poly(field, rem(a)) == divmod(Poly(field, a), Poly(field, f))[1]
+            assert not built, (p, lead)
+            a = [rng.randrange(p) for _ in range(14)] + [1]
+            assert Poly(field, rem(a)) == divmod(Poly(field, a), Poly(field, f))[1]
+            assert len(built) == (7 if lead == 1 else 0), (p, lead)  # 7 rows, or none
+            built.clear()
 
 
 def test_pow_mod_matches_repeated_multiplication():
