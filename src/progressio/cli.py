@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from functools import cache
 
 from .construct import (
     build_stable,
@@ -20,7 +21,7 @@ from .construct import (
     certificate_to_text,
 )
 from .dirichlet import _root_sieve, density_scan, search_constructed, search_exhaustive
-from .errors import MathError, UsageError
+from .errors import MathError, ParseError, UsageError
 from .factor import count_irreducibles, factorize, is_irreducible
 from .ff import PrimeField
 from .galois import certify_sn
@@ -45,11 +46,16 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _read_cert(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return certificate_from_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"certificate {path} is not UTF-8 text: {exc}") from exc
+
+
 def _cmd_certify(args) -> int:
-    with open(args.cert, encoding="utf-8") as fh:
-        cert = certificate_from_text(fh.read())
-    sn = certify_sn(cert)
-    _emit(sn.to_text(), args.output)
+    _emit(certify_sn(_read_cert(args.cert)).to_text(), args.output)
     return 0
 
 
@@ -67,10 +73,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    with open(args.cert, encoding="utf-8") as fh:
-        cert = certificate_from_text(fh.read())
-    result = density_scan(cert)
-    _emit(result.to_csv(), args.output)
+    _emit(density_scan(_read_cert(args.cert)).to_csv(), args.output)
     return 0
 
 
@@ -171,6 +174,7 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+@cache  # built on first use, then shared: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="progressio",
@@ -230,9 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -74,6 +74,8 @@ def search_constructed(a: Poly, b: Poly, n: int, max_hits: int = 16) -> SearchRe
     outcome, not an error. Each hit records the rescaled multiplier
     alpha*c, so member = a + b*(alpha*c) replays exactly.
     """
+    if max_hits < 0:
+        raise PreconditionViolated(f"max_hits must be >= 0, got {max_hits}")
     cert = build_stable(a, b, n)
     p = a.field.modulus
     bc = b * cert.c

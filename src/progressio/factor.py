@@ -3,15 +3,14 @@
 One engine serves both: Ben-Or's distinct-degree loop. For d = 1, 2, ...
 while 2d <= deg(rest), gcd(X^(p^d) - X, rest) is the product of the
 degree-d irreducible factors; what is left at the end is irreducible.
-The irreducibility test stops at the first nontrivial gcd. Frobenius is
-applied as the F_p-linear Berlekamp Q-matrix, the rows X^(i*p) mod f
-built from X^p mod f (packed into Kronecker ints above the size switch),
-so no exponent grows with p^d. Below p = 8 (``_SHIFT_SWITCH``), X^p and each row
-X^p * row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11, deg 8-32: rows
+The irreducibility test stops at the first nontrivial gcd. Frobenius is poly's
+``_linear_map`` of Berlekamp's Q-matrix, the rows X^(i*p) mod f built from X^p mod f,
+so no exponent grows with p^d. Below p = 8 (``_SHIFT_SWITCH``), X^p and each row X^p *
+row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11, deg 8-32: rows
 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on, a row is a
 mulmod, and X^p a squaring per bit of p plus a shift per 1 bit. Above the size switch,
-degrees d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd with the product of
-the X^(p^e) - X over a block, and one per degree only when that gcd is nontrivial.
+degrees d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd with the product of the
+X^(p^e) - X over a block, and one per degree only when that gcd is nontrivial.
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
@@ -44,16 +43,14 @@ from .poly import (
     _deriv,
     _divmod,
     _gcd,
+    _linear_map,
     _monic,
     _mul,
-    _pack,
     _pow_mod,
     _reducer,
-    _slot_bytes,
     _sub,
     _times_x,
     _trim,
-    _unpack,
     format_poly,
 )
 
@@ -110,26 +107,6 @@ def _frobenius_rows(xp: list[int], f: list[int], rem, p: int) -> list[list[int]]
     return rows
 
 
-def _packed(rows: list[list[int]], p: int) -> tuple[int, list]:
-    # Kronecker ints with slots for len(rows) products; lists (k = 0) below the switch.
-    k = _slot_bytes(len(rows), p) if len(rows) >= _SIZE_SWITCH else 0
-    return k, [_pack(r, k) for r in rows] if k else rows
-
-
-def _frob(h: list[int], packed: tuple[int, list], p: int) -> list[int]:
-    # h^p mod f for h reduced mod f: the linear combination sum h_i*rows[i].
-    k, rows = packed
-    if k:
-        acc = sum(hi * row for hi, row in zip(h, rows) if hi)
-        return _trim(_unpack(acc, k, len(rows), p))
-    out = [0] * len(rows)
-    for hi, row in zip(h, rows):
-        if hi:
-            for j, r in enumerate(row):
-                out[j] += hi * r
-    return _trim([v % p for v in out])
-
-
 def _ben_or(f: list[int], p: int):
     # f monic, degree >= 1. Yields (gcd(X^(p^d) - X, rest), d, rows) when that gcd
     # is nontrivial, dividing it out of rest, then (rest, deg rest, rows); rows are
@@ -142,11 +119,11 @@ def _ben_or(f: list[int], p: int):
     while 2 * d < len(rest):
         if d > 1 and not rows:  # not before d = 2: most random inputs have a root
             rows = _frobenius_rows(h, rest, rem, p)
-            packed = _packed(rows, p)
+            frob = _linear_map(rows, p)
         top = min(2 * d - 1, (len(rest) - 1) // 2) if len(rest) > _SIZE_SWITCH else d
         hs = []
         for e in range(d, top + 1):
-            h = _frob(h, packed, p) if e > 1 else _times_xp([1], rest, rem, p)
+            h = frob(h) if e > 1 else _times_xp([1], rest, rem, p)
             hs.append(_sub(h, [0, 1], p))
         block = rest
         if top > d:
@@ -164,7 +141,7 @@ def _ben_or(f: list[int], p: int):
             h = rem(h)
             if rows:
                 rows = [rem(r) for r in rows[: len(rest) - 1]]
-                packed = _packed(rows, p)
+                frob = _linear_map(rows, p)
         d = top + 1
     if len(rest) > 1:
         yield rest, len(rest) - 1, rows
@@ -241,7 +218,7 @@ def _equal_degree(f: list[int], d: int, p: int, rng: random.Random, rows: list) 
             done.append(g)
             continue
         rem = _reducer(g, p)
-        g_rows = _packed([rem(r) for r in rows[: len(g) - 1]], p)
+        frob = _linear_map([rem(r) for r in rows[: len(g) - 1]], p)
         while True:
             if budget <= 0:
                 raise RetryBudgetExceeded(
@@ -253,7 +230,7 @@ def _equal_degree(f: list[int], d: int, p: int, rng: random.Random, rows: list) 
                 continue
             w = acc = t
             for _ in range(d - 1):
-                acc = _frob(acc, g_rows, p)
+                acc = frob(acc)
                 w = _add(w, acc, p) if p == 2 else rem(_mul(w, acc, p))
             if p != 2:
                 w = _sub(_pow_mod(w, (p - 1) // 2, rem, p), [1], p)

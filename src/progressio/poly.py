@@ -11,11 +11,12 @@ Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``) operate on Poly
 values; the underscore-prefixed kernels work on raw coefficient lists and
 carry the performance-sensitive inner loops.
 
-One multiply and one remainder, both packed into ints (von zur Gathen & Gerhard,
-Modern Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for
-min(len a, len b)·(p−1)², one multiply in C) but for pairs too short to repay it.
-``_reducer`` combines the packed rows X^(n+i) mod f below ``_SIZE_SWITCH``, and from
-it on uses the Newton inverse of the reversed modulus (ibid., 9.1).
+Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
+Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a,
+len b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
+(v -> sum v_i·rows[i], rows packed from ``_SIZE_SWITCH`` of them on) is factor's
+Frobenius and, for f of degree 6 to 8, ``_reducer`` (rows X^i mod f, i < 2n − 1); from
+the switch on ``_reducer`` uses the Newton inverse of reversed f (ibid., 9.1).
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -28,6 +29,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BothZero, FieldMismatch, ParseError, ZeroPolynomial
@@ -137,10 +139,6 @@ def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list
     return quot, rem
 
 
-def _mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    return _divmod(a, b, p)[1]
-
-
 def _times_x(g: list[int], f: Sequence[int], p: int, times: int = 1) -> list[int]:
     # X^times * g mod f, f monic, g reduced: one shift step of O(deg f) per power.
     n = len(f) - 1
@@ -152,37 +150,54 @@ def _times_x(g: list[int], f: Sequence[int], p: int, times: int = 1) -> list[int
     return _trim(g)
 
 
+def _linear_map(rows: Sequence[Sequence[int]], p: int):
+    # v -> sum v_i * rows[i] mod p, trimmed; from _SIZE_SWITCH rows on, each row is one
+    # Kronecker int with slots for len(rows) products, below it a list.
+    n = max(map(len, rows), default=0)  # the output width
+    if len(rows) >= _SIZE_SWITCH:
+        k = _slot_bytes(len(rows), p)
+        ints = [_pack(r, k) for r in rows]
+        return lambda v: _trim(_unpack(sum(map(mul, v, ints)), k, n, p))
+
+    def combine(v: Sequence[int]) -> list[int]:
+        out = [0] * n
+        for c, row in zip(v, rows):
+            if c:
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        return _trim([x % p for x in out])
+
+    return combine
+
+
 def _reducer(f: Sequence[int], p: int):
-    # a -> a mod f; if n < len a < 2n, from the switch on by the inverse of reversed f,
-    # below it by packed rows X^(n+i) mod f (f monic, n >= 6: 1.3-2.2x long division).
+    # a -> a mod f. If n < len a < 2n: from the switch on, the inverse of reversed f;
+    # for 6 <= n below it, the linear map of X^i mod f, i < 2n - 1 (1.3-2.2x division).
+    f = _monic(f, p)
     n = len(f) - 1
-    if n < 6 or n < _SIZE_SWITCH and f[-1] != 1:
-        return lambda a: _divmod(a, f, p)[1]
-    k = _slot_bytes(n, p)  # a table slot sums p - 1 and n - 1 products
-    table: list[int] = []
-    rev = f[::-1]
-    inv = [pow(f[-1], -1, p)]
+    table = None
+    inv = [1]
     prec = 1
     while n >= _SIZE_SWITCH and prec < n - 1:
         prec = min(2 * prec, n - 1)
-        err = _mul(_mul(inv, inv, p), rev[:prec], p)[:prec]
+        err = _mul(_mul(inv, inv, p), f[: n - prec : -1], p)[:prec]
         inv = _sub(_mul_scalar(inv, 2, p), err, p)
 
     def rem(a: Sequence[int]) -> list[int]:
+        nonlocal table
         m = len(a) - n
-        if not 0 < m < n:
+        if n < 6 or not 0 < m < n:
             return _divmod(a, f, p)[1]
         if n >= _SIZE_SWITCH:
             q_rev = _mul(a[: n - 1 : -1], inv[:m], p)[:m]
             q = [0] * (m - len(q_rev)) + q_rev[::-1]
             return _sub(a[:n], _mul(q, f, p)[:n], p)
-        if not table:
-            row = [0] * (n - 1) + [1]
+        if table is None:
+            rows = [[0] * i + [1] for i in range(n)]
             for _ in range(n - 1):
-                row = _times_x(row, f, p)
-                table.append(_pack(row, k))
-        x = _pack(a[:n], k) + sum(c * t for c, t in zip(a[n:], table))
-        return _trim(_unpack(x, k, n, p))
+                rows.append(_times_x(rows[-1], f, p))
+            table = _linear_map(rows, p)
+        return table(a)
 
     return rem
 
@@ -194,14 +209,12 @@ def _monic(a: Sequence[int], p: int) -> list[int]:
 
 
 def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
     while b:
-        a, b = b, _mod(a, b, p)
+        a, b = b, _divmod(a, b, p)[1]
     return _monic(a, p)
 
 
 def _xgcd(a, b, p):
-    a, b = list(a), list(b)
     s, s1 = [1], []
     t, t1 = [], [1]
     while b:

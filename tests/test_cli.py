@@ -1,7 +1,12 @@
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import progressio
 from progressio import PrimeField, build_stable, certificate_to_text, parse_poly
 from progressio.cli import run
 from progressio.errors import ParseError
@@ -162,6 +167,41 @@ def test_exit_code_math_failures(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     assert run(["certify", "--cert", "/nonexistent/cert.txt"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["certify", "count"])
+def test_non_utf8_certificate_is_usage_error(tmp_path, capsys, command):
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_bytes(b"\xff\xfe" + "modulus: 7\n".encode("utf-16-le"))
+    assert run([command, "--cert", str(cert_file)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_search_rejects_negative_max_hits(capsys):
+    argv = ["search", "-p", "7", "-a", "X+1", "-b", "1", "-n", "9", "--max-hits"]
+    assert run(argv + ["-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_hits" in captured.err
+    assert run(argv + ["0"]) == 0
+    assert "constructed-scan,7,9,0,0," in capsys.readouterr().out
+
+
+def test_shared_parser_keeps_nothing_between_calls(capsys):
+    # run() builds its parser once; options of an earlier call, or of one that
+    # argparse rejected, must not reach a later default search.
+    assert run(["search", "-p", "3", "-a", "X+1", "-b", "X^2+1", "-n", "4",
+                "--strategy", "exhaustive", "--format", "structured-text"]) == 0
+    assert run(["search", "-p", "7", "-a", "X+1", "-b", "1", "-n", "9",
+                "--format", "xml"]) == 2
+    capsys.readouterr()
+    argv = ["search", "-p", "7", "-a", "X+1", "-b", "1", "-n", "9"]
+    assert run(argv) == 0
+    src = pathlib.Path(progressio.__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "progressio.cli", *argv], capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+    )
+    assert capsys.readouterr().out.encode("utf-8") == fresh.stdout
 
 
 def test_selftest_quick(capsys):

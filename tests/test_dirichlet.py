@@ -64,6 +64,11 @@ def test_search_constructed_zero_budget():
     assert report.density == Fraction(0)
 
 
+def test_search_constructed_rejects_a_negative_budget():
+    with pytest.raises(PreconditionViolated, match="max_hits"):
+        search_constructed(parse_poly(F7, "X+1"), Poly.one(F7), 9, max_hits=-3)
+
+
 def test_search_constructed_noncoprime_rejected():
     with pytest.raises(PreconditionViolated):
         search_constructed(parse_poly(F7, "X^2"), Poly.x(F7), 9, 4)

@@ -21,7 +21,14 @@ from progressio.errors import (
     ParseError,
     ZeroPolynomial,
 )
-from progressio.poly import _SIZE_SWITCH, Poly, _compose_mod, _reducer, _slot_bytes
+from progressio.poly import (
+    _SIZE_SWITCH,
+    Poly,
+    _compose_mod,
+    _linear_map,
+    _reducer,
+    _slot_bytes,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -213,23 +220,56 @@ def test_divmod_identity_below_and_above_the_switch():
                 assert Poly(field, rem(list(a.coeffs))) == r, (p, deg_a, deg_b)
 
 
+def test_linear_map_matches_a_naive_sum():
+    # Row counts on both sides of the switch, where rows turn into Kronecker ints;
+    # rows and vectors of all p - 1 fill each slot to len(rows) * (p - 1)^2, its bound.
+    # At p = 67 that bound crosses 2^16 from 15 to 16 rows, so the slot widens there.
+    rng = random.Random(59)
+    for p in KERNEL_MODULI + (67,):
+        field = PrimeField(p)
+        for count in range(1, 2 * _SIZE_SWITCH + 2):
+            width = rng.randrange(1, 12)
+            rows = [
+                [rng.randrange(p) for _ in range(rng.randrange(1, width + 1))]
+                for _ in range(count)
+            ]
+            cases = [
+                (rows, [rng.randrange(p) for _ in range(count)]),
+                (rows, [rng.randrange(p) for _ in range(rng.randrange(count + 1))]),
+                (rows, [0] * count),
+                ([[p - 1] * width] * count, [p - 1] * count),
+            ]
+            for m, v in cases:
+                terms = (Poly(field, row) * c for c, row in zip(v, m))
+                want = sum(terms, Poly.zero(field))
+                assert _linear_map(m, p)(v) == list(want.coeffs), (p, count, v)
+        assert _linear_map([], p)([]) == []  # Ben-Or's rows before d = 2
+
+
 def test_remainder_table_matches_long_division():
-    # Every input length 0..2n+1 for monic f of degree 1..8: the table serves
-    # 6 <= n < len a < 2n, long division the rest. Inputs of all p - 1 fill each
-    # slot to (p - 1) + (n - 1)(p - 1)^2, its bound.
+    # Every input length 0..2n+1 for f of degree 1..8, monic or not: the table serves
+    # 6 <= n < len a < 2n, long division the rest. Inputs of all p - 1 fill each slot
+    # to (p - 1) + (n - 1)(p - 1)^2.
     rng = random.Random(47)
     for p in KERNEL_MODULI:
         field = PrimeField(p)
         for n in range(1, _SIZE_SWITCH):
-            for f in ([rng.randrange(p) for _ in range(n)] + [1], [p - 1] * n + [1]):
+            moduli = [[rng.randrange(p) for _ in range(n)] + [1], [p - 1] * n + [1]]
+            if p > 2:
+                moduli += [[rng.randrange(p) for _ in range(n)] + [rng.randrange(2, p)],
+                           [p - 1] * (n + 1)]
+            for f in moduli:
                 rem = _reducer(f, p)
                 for length in range(2 * n + 2):
                     for a in ([rng.randrange(p) for _ in range(length)], [p - 1] * length):
                         want = divmod(Poly(field, a), Poly(field, f))[1]
-                        assert Poly(field, rem(a)) == want, (p, n, length)
+                        assert Poly(field, rem(a)) == want, (p, f, length)
 
 
-def test_remainder_table_only_for_monic_moduli_and_only_when_used(monkeypatch):
+def test_remainder_table_for_any_lead_and_only_when_used(monkeypatch):
+    # The table is built on the first input with 8 < len a < 16: the 7 rows
+    # X^8..X^14 mod f by shift steps, for a monic and a non-monic f alike, and
+    # the identity rows X^0..X^7 without one.
     import progressio.poly as pmod
 
     built = []
@@ -245,9 +285,10 @@ def test_remainder_table_only_for_monic_moduli_and_only_when_used(monkeypatch):
                 a = [rng.randrange(p) for _ in range(length - 1)] + [1] if length else []
                 assert Poly(field, rem(a)) == divmod(Poly(field, a), Poly(field, f))[1]
             assert not built, (p, lead)
-            a = [rng.randrange(p) for _ in range(14)] + [1]
-            assert Poly(field, rem(a)) == divmod(Poly(field, a), Poly(field, f))[1]
-            assert len(built) == (7 if lead == 1 else 0), (p, lead)  # 7 rows, or none
+            for length in (15, 9, 12):
+                a = [rng.randrange(p) for _ in range(length - 1)] + [1]
+                assert Poly(field, rem(a)) == divmod(Poly(field, a), Poly(field, f))[1]
+                assert len(built) == 7, (p, lead, length)  # built once
             built.clear()
 
 
