@@ -14,6 +14,8 @@ p - 1 nonzero scales should find about p/n hits. About 1 - D_n/n! of them (D_n t
 derangements) have a root x, so are reducible (n >= 2); as alpha = -a(x)/bc(x), one
 pass over F_p marks those, a byte each, so p - 1 is capped at the exhaustive guard.
 The exhaustive scan sieves its constant digit c0 the same way, per higher digits.
+Both scans pass the unmarked members to the irreducibility test as rootless, so
+it skips its root gcd gcd(X^p - X, f).
 """
 
 from __future__ import annotations
@@ -72,10 +74,12 @@ def search_constructed(a: Poly, b: Poly, n: int, max_hits: int = 16) -> SearchRe
     Builds a certificate first (deterministically, with ``build_stable``),
     so its errors propagate; a report with zero hits is a valid
     outcome, not an error. Each hit records the rescaled multiplier
-    alpha*c, so member = a + b*(alpha*c) replays exactly.
+    alpha*c, so member = a + b*(alpha*c) replays exactly. ``max_hits`` must
+    lie in [0, 4096]; at density about 1/n the scan then stops after about
+    4096·n scales, where an unbounded budget would walk all p - 1.
     """
-    if max_hits < 0:
-        raise PreconditionViolated(f"max_hits must be >= 0, got {max_hits}")
+    if not 0 <= max_hits <= 4096:
+        raise PreconditionViolated(f"max_hits must be in [0, 4096], got {max_hits}")
     cert = build_stable(a, b, n)
     p = a.field.modulus
     bc = b * cert.c
@@ -116,7 +120,7 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
             if n >= 2 and marked[c0]:
                 continue
             member = _add(base, _mul_scalar(b_c, c0, p), p)
-            if len(member) == n + 1 and _rabin_irreducible(member, p):
+            if len(member) == n + 1 and _rabin_irreducible(member, p, True):
                 hits.append((a._wrap([c0, *h]), a._wrap(member)))
     return _report(a, b, n, "exhaustive", hits, (p - 1) * p**deg_c)
 
@@ -133,7 +137,7 @@ def _root_sieve(a_coeffs, bc_coeffs, p: int) -> bytearray:
 def _density_chunk(job):
     p, a_coeffs, bc_coeffs, lo, marked = job
     return sum(
-        _rabin_irreducible(_add(a_coeffs, _mul_scalar(bc_coeffs, alpha, p), p), p)
+        _rabin_irreducible(_add(a_coeffs, _mul_scalar(bc_coeffs, alpha, p), p), p, True)
         for alpha, rooted in enumerate(marked, lo) if not rooted
     )
 

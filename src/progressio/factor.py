@@ -1,14 +1,16 @@
 """Irreducibility testing and complete factorization over prime fields.
 
-One engine serves both: Ben-Or's distinct-degree loop. For d = 1, 2, ...
-while 2d <= deg(rest), gcd(X^(p^d) - X, rest) is the product of the
-degree-d irreducible factors; what is left at the end is irreducible.
-The irreducibility test stops at the first nontrivial gcd. Frobenius is poly's
-``_linear_map`` of Berlekamp's Q-matrix, the rows X^(i*p) mod f built from X^p mod f,
-so no exponent grows with p^d. Below p = 8 (``_SHIFT_SWITCH``), X^p and each row X^p *
-row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11, deg 8-32: rows
-1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on, a row is a
-mulmod, and X^p a squaring per bit of p plus a shift per 1 bit. Above the size switch,
+Both use Berlekamp's Q-matrix, the rows X^(i*p) mod f built from X^p mod f and
+applied as poly's ``_linear_map``, so no exponent grows with p^d. Below p = 8
+(``_SHIFT_SWITCH``), X^p and each row X^p * row_(i-1) take p multiply-by-X steps of
+O(deg f) (CPython 3.11, deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at
+p = 11, 13); from 8 on, a row is a mulmod, and X^p a squaring per bit of p plus a
+shift per 1 bit. Below the size switch (degree <= 8) the test is Berlekamp's count:
+the nullity of Q - I is the number of distinct irreducible factors (Berlekamp 1970).
+Factorization runs Ben-Or's distinct-degree loop at every degree, and the test runs
+it from the switch on: for d = 1, 2, ... while 2d <= deg(rest), gcd(X^(p^d) - X,
+rest) is the product of the degree-d irreducible factors, and what is left at the
+end is irreducible; the test stops at the first nontrivial gcd. Above the switch,
 degrees d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd with the product of the
 X^(p^e) - X over a block, and one per degree only when that gcd is nontrivial.
 
@@ -147,14 +149,40 @@ def _ben_or(f: list[int], p: int):
         yield rest, len(rest) - 1, rows
 
 
-def _rabin_irreducible(coeffs, p: int) -> bool:
-    """Ben-Or irreducibility test; coefficients normalized, degree >= 1.
+def _rabin_irreducible(coeffs, p: int, rootless: bool = False) -> bool:
+    """Irreducibility test; coefficients normalized, degree n >= 1.
 
-    True iff gcd(X^(p^d) - X, f) = 1 for every d <= n/2. f need not be
-    squarefree: a repeated factor of degree <= n/2 shows at its own degree.
+    Below the size switch: f = g^k, g irreducible, iff rows 1..n-1 of Q - I are
+    independent (row 0 is zero), and then f is irreducible iff gcd(f, f') = 1.
+    Unless ``rootless`` (the caller has proved that f has no root), a root gcd
+    gcd(X^p - X, f) runs first. The count alone is exact, so ``rootless`` changes
+    the cost, never the answer. From the switch on, Ben-Or: True iff
+    gcd(X^(p^d) - X, f) = 1 for every d <= n/2.
     """
     f = _monic(coeffs, p)
-    return next(_ben_or(f, p))[1] == len(f) - 1
+    n = len(f) - 1
+    if n >= _SIZE_SWITCH:
+        return next(_ben_or(f, p))[1] == n
+    rem = _reducer(f, p)
+    xp = _times_xp([1], f, rem, p)
+    if not rootless and n > 1 and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
+        return False  # a root; a linear f is its own root factor, hence n > 1
+    m = [r + [0] * (n - len(r)) for r in _frobenius_rows(xp, f, rem, p)[:0:-1]]
+    for i, r in enumerate(m):  # Q - I, rows n-1..1, unreduced; popped from row 1 on
+        r[n - 1 - i] -= 1
+    while m:  # clear the first nonzero column of the next row from the rows after it
+        r = m.pop()
+        for c, x in enumerate(r):
+            if x % p:
+                break
+        else:
+            return False  # a dependent row: at least two distinct irreducible factors
+        inv = pow(r.pop(c), -1, p)
+        for j, s in enumerate(m):
+            t = s.pop(c) * inv % p
+            if t:
+                m[j] = [a - t * b for a, b in zip(s, r)]
+    return len(_gcd(f, _deriv(f, p), p)) == 1
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -186,6 +186,16 @@ def test_search_rejects_negative_max_hits(capsys):
     assert "constructed-scan,7,9,0,0," in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("max_hits", ["4097", "1000000000"])
+def test_search_rejects_max_hits_above_4096(capsys, max_hits):
+    # Refused before the certificate is built, at the largest admissible p too.
+    argv = ["search", "-p", str((1 << 61) - 1), "-a", "X+1", "-b", "1", "-n", "9",
+            "--strategy", "constructed", "--max-hits", max_hits]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_hits" in captured.err
+
+
 def test_shared_parser_keeps_nothing_between_calls(capsys):
     # run() builds its parser once; options of an earlier call, or of one that
     # argparse rejected, must not reach a later default search.

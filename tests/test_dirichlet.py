@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -8,7 +9,9 @@ import pytest
 from progressio import (
     PrimeField,
     build_stable,
+    count_irreducibles,
     density_scan,
+    enumerate_irreducibles,
     gcd,
     is_irreducible,
     parse_poly,
@@ -67,6 +70,39 @@ def test_search_constructed_zero_budget():
 def test_search_constructed_rejects_a_negative_budget():
     with pytest.raises(PreconditionViolated, match="max_hits"):
         search_constructed(parse_poly(F7, "X+1"), Poly.one(F7), 9, max_hits=-3)
+
+
+def test_search_constructed_rejects_a_budget_above_4096():
+    with pytest.raises(PreconditionViolated, match="max_hits"):
+        search_constructed(parse_poly(F7, "X+1"), Poly.one(F7), 9, max_hits=4097)
+
+
+def test_search_constructed_accepts_the_largest_budget():
+    # p = 7 has six scales, so the field, not the budget, ends the scan.
+    report = search_constructed(parse_poly(F7, "X+1"), Poly.one(F7), 9, max_hits=4096)
+    assert report.scanned == 6
+
+
+def test_sieved_members_skip_the_root_gcd(monkeypatch):
+    # Below the size switch a sieved member costs one gcd, gcd(f, f'), and only when
+    # Berlekamp's count finds one irreducible factor: f irreducible (a hit) or f = g^k.
+    import progressio.factor as fmod
+
+    calls = []
+    gcd_ = fmod._gcd
+    monkeypatch.setattr(fmod, "_gcd", lambda *args: calls.append(1) or gcd_(*args))
+    p, n = 3, 6
+    report = search_exhaustive(parse_poly(F3, "X+1"), Poly.one(F3), n)
+    assert len(report.hits) == (p - 1) * count_irreducibles(p, n)
+    assert report.scanned == (p - 1) * p**n
+    members = [Poly(F3, [*c, lead]) for lead in (1, 2)
+               for c in itertools.product(range(p), repeat=n)]
+    tested = [m for m in members if all(_eval(m.coeffs, x, p) for x in range(p))]
+    # g^k of degree 6 with k >= 2 and no root: deg g = 3, k = 2 or deg g = 2, k = 3.
+    powers = {u * g**k for d, k in ((3, 2), (2, 3))
+              for g in enumerate_irreducibles(p, d) for u in (1, 2)}
+    assert len(calls) == len(report.hits) + sum(m in powers for m in tested)
+    assert sum(m in powers for m in tested) > 0
 
 
 def test_search_constructed_noncoprime_rejected():

@@ -14,7 +14,8 @@ from progressio import (
     pow_mod,
 )
 from progressio.errors import ConstantPolynomial, ZeroPolynomial
-from progressio.factor import _ben_or
+from progressio.factor import _ben_or, _rabin_irreducible
+from progressio.oracle import _monic_polys
 from progressio.poly import Poly
 
 F2 = PrimeField(2)
@@ -56,17 +57,16 @@ def test_is_irreducible_rejects_constants():
 
 
 def test_is_irreducible_against_enumeration():
-    # Count for each degree, and cross-check membership against the sieve.
-    for p in (2, 3):
+    # Every monic f: Berlekamp's count below the size switch (degree <= 8) against
+    # the oracle's sieve, and the rootless entry against the plain one, rooted f too.
+    for p, top in ((2, 8), (3, 6), (5, 6)):
         field = PrimeField(p)
-        for n in range(1, 6):
+        for n in range(1, top + 1):
             expected = set(enumerate_irreducibles(p, n))
-            got = {
-                f
-                for f in all_polys(field, n)
-                if f.degree == n and f.lc() == 1 and is_irreducible(f)
-            }
-            assert got == expected
+            for f in _monic_polys(field, n):
+                got = is_irreducible(f)
+                assert got == (f in expected), f
+                assert _rabin_irreducible(list(f.coeffs), p, True) == got, f
 
 
 def test_irreducible_count_includes_units():
@@ -292,6 +292,7 @@ def test_engine_matches_sympy_galoistools():
         p = f.field.modulus
         dense = list(reversed(f.coeffs))
         assert is_irreducible(f) == gt.gf_irreducible_p(dense, p, ZZ)
+        assert _rabin_irreducible(list(f.coeffs), p, True) == is_irreducible(f)
         lc, ref = gt.gf_factor(dense, p, ZZ)
         ours = factorize(f, seed=seed)
         assert int(ours.unit) == lc % p
@@ -323,6 +324,19 @@ def test_engine_matches_sympy_galoistools():
             f = monic(rng.randrange(1, 4)) * rng.randrange(1, p)
             g, k = monic(rng.randrange(1, 3)), monic(rng.randrange(1, 3))
             check(f * g**p * k ** (p * p), rng.randrange(100))
+    # Degree <= 8, Berlekamp's count: irreducible g^2, g^3 and g^p (f' = 0), and
+    # g * (X - r), which the rootless entry must get right although it has a root.
+    rng = random.Random(61)
+    for p in (2, 3, 7, 10007, (1 << 61) - 1):
+        field = PrimeField(p)
+        for _ in range(10):
+            g = _random_irreducible(rng, field, rng.randrange(1, 5))
+            cube = _random_irreducible(rng, field, rng.randrange(1, 3)) ** 3
+            for f in (g**2, cube, g * Poly(field, [-rng.randrange(p), 1])):
+                check(f, rng.randrange(100))
+            if p <= 3:
+                g = _random_irreducible(rng, field, rng.randrange(1, 8 // p + 1))
+                check(g**p, rng.randrange(100))
 
 
 def _reference_distinct_degree(f):
