@@ -24,10 +24,8 @@ def worker_count() -> int:
     return min(requested, cpus)
 
 
-def run_chunked(fn, jobs: list, workers: int | None = None) -> list:
+def run_chunked(fn, jobs: list, workers: int) -> list:
     """Apply fn to each job tuple, possibly across processes; keep order."""
-    if workers is None:
-        workers = worker_count()
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(job) for job in jobs]

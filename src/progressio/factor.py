@@ -10,9 +10,9 @@ the nullity of Q - I is the number of distinct irreducible factors (Berlekamp 19
 Factorization runs Ben-Or's distinct-degree loop at every degree, and the test runs
 it from the switch on: for d = 1, 2, ... while 2d <= deg(rest), gcd(X^(p^d) - X,
 rest) is the product of the degree-d irreducible factors, and what is left at the
-end is irreducible; the test stops at the first nontrivial gcd. Above the switch,
-degrees d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd with the product of the
-X^(p^e) - X over a block, and one per degree only when that gcd is nontrivial.
+end is irreducible; the test stops at the first nontrivial gcd. Degrees d > 1 come
+in blocks [d, 2d) (Shoup 1995): one gcd with the product of the X^(p^e) - X over a
+block, and one per degree only when that gcd is nontrivial.
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
@@ -122,7 +122,7 @@ def _ben_or(f: list[int], p: int):
         if d > 1 and not rows:  # not before d = 2: most random inputs have a root
             rows = _frobenius_rows(h, rest, rem, p)
             frob = _linear_map(rows, p)
-        top = min(2 * d - 1, (len(rest) - 1) // 2) if len(rest) > _SIZE_SWITCH else d
+        top = min(2 * d - 1, (len(rest) - 1) // 2)
         hs = []
         for e in range(d, top + 1):
             h = frob(h) if e > 1 else _times_xp([1], rest, rem, p)
@@ -163,7 +163,7 @@ def _rabin_irreducible(coeffs, p: int, rootless: bool = False) -> bool:
     n = len(f) - 1
     if n >= _SIZE_SWITCH:
         return next(_ben_or(f, p))[1] == n
-    rem = _reducer(f, p)
+    rem = _reducer(f, p) if p >= _SHIFT_SWITCH else None  # shift steps need none
     xp = _times_xp([1], f, rem, p)
     if not rootless and n > 1 and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
         return False  # a root; a linear f is its own root factor, hence n > 1

@@ -14,9 +14,9 @@ carry the performance-sensitive inner loops.
 Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
 Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a,
 len b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
-(v -> sum v_i·rows[i], rows packed from ``_SIZE_SWITCH`` of them on) is factor's
-Frobenius and, for f of degree 6 to 8, ``_reducer`` (rows X^i mod f, i < 2n − 1); from
-the switch on ``_reducer`` uses the Newton inverse of reversed f (ibid., 9.1).
+(v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius and, for f of
+degree 6 to 8, ``_reducer`` (rows X^i mod f, i < 2n − 1); from the size switch on
+``_reducer`` uses the Newton inverse of reversed f (ibid., 9.1).
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -37,7 +37,8 @@ from .ff import FieldElem, PrimeField
 
 ZERO_DEGREE = float("-inf")
 
-# Modulus degree from which the Newton inverse replaces the packed remainder table.
+# Modulus degree from which _reducer takes the Newton inverse, not the packed remainder
+# table, and factor's irreducibility test runs Ben-Or, not Berlekamp's count.
 _SIZE_SWITCH = 9
 
 _BYTE_ORDER = sys.byteorder
@@ -151,23 +152,12 @@ def _times_x(g: list[int], f: Sequence[int], p: int, times: int = 1) -> list[int
 
 
 def _linear_map(rows: Sequence[Sequence[int]], p: int):
-    # v -> sum v_i * rows[i] mod p, trimmed; from _SIZE_SWITCH rows on, each row is one
-    # Kronecker int with slots for len(rows) products, below it a list.
+    # v -> sum v_i * rows[i] mod p, trimmed; each row is one Kronecker int with slots
+    # for len(rows) products.
     n = max(map(len, rows), default=0)  # the output width
-    if len(rows) >= _SIZE_SWITCH:
-        k = _slot_bytes(len(rows), p)
-        ints = [_pack(r, k) for r in rows]
-        return lambda v: _trim(_unpack(sum(map(mul, v, ints)), k, n, p))
-
-    def combine(v: Sequence[int]) -> list[int]:
-        out = [0] * n
-        for c, row in zip(v, rows):
-            if c:
-                for j, r in enumerate(row):
-                    out[j] += c * r
-        return _trim([x % p for x in out])
-
-    return combine
+    k = _slot_bytes(len(rows), p)
+    ints = [_pack(r, k) for r in rows]
+    return lambda v: _trim(_unpack(sum(map(mul, v, ints)), k, n, p))
 
 
 def _reducer(f: Sequence[int], p: int):

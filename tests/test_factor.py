@@ -261,6 +261,34 @@ def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
             assert Poly(field, row) == pow_mod(Poly.x(field), i * p, modulus)
 
 
+def test_shift_route_builds_no_remainder_map(monkeypatch):
+    # Below p = 8 and the size switch, X^p and the rows go by shift steps, so the
+    # test builds no _reducer: every monic f of degree <= 5 at p = 2, 3, 5, 7, and
+    # seeded f up to degree 8 with any leading coefficient, against is_irreducible.
+    import progressio.factor as fmod
+
+    rng = random.Random(71)
+    cases = []
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for n in range(1, 6):
+            cases += [(list(f.coeffs), p) for f in _monic_polys(field, n)]
+        for n in range(1, 9):
+            cases += [
+                ([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p)
+                for _ in range(30)
+            ]
+    want = [is_irreducible(Poly(PrimeField(p), f)) for f, p in cases]
+
+    def no_reducer(f, p):
+        raise AssertionError(f"a remainder map was built at p = {p}")
+
+    monkeypatch.setattr(fmod, "_reducer", no_reducer)
+    for (f, p), expected in zip(cases, want):
+        for rootless in (False, True):
+            assert _rabin_irreducible(f, p, rootless) == expected, (p, f, rootless)
+
+
 @pytest.mark.parametrize("p", [8, 11, 13, 10007, (1 << 61) - 1])
 def test_square_and_shift_xp_matches_pow_mod(p):
     # From p = 8 on, X^p mod f is a squaring mulmod per bit of p and a shift step
@@ -366,14 +394,16 @@ def _random_irreducible(rng, field, degree):
 
 def test_distinct_degree_matches_per_degree_reference():
     # Seeded squarefree inputs up to degree 130: random ones, and products of
-    # irreducibles whose degrees share a block [d, 2d) of the blocked loop.
+    # irreducibles whose degrees share a block [d, 2d) of the blocked loop, some of
+    # degree <= 8, where rest is small from the start.
     rng = random.Random(47)
     cases = [(2, 130), (3, 100), (5, 128), (101, 64), (10007, 40), ((1 << 61) - 1, 20)]
     for p, n in cases:
         field = PrimeField(p)
         inputs = [Poly(field, [rng.randrange(p) for _ in range(n)] + [1])
                   for _ in range(3)]
-        for degrees in ((1, 2, 3, 5, 6, 7, 7), (4, 5, 9, 13, 20)):
+        blocks = ((2, 3), (1, 2, 3), (3, 4), (2, 2, 3), (3, 5))
+        for degrees in ((1, 2, 3, 5, 6, 7, 7), (4, 5, 9, 13, 20)) + blocks:
             f = Poly.one(field)
             for k in degrees:
                 g = _random_irreducible(rng, field, k)
