@@ -13,6 +13,10 @@ witnesses a long cycle, the second a transposition; together with
 transitivity they pin the geometric permutation group of the family to
 the full symmetric group (the ``galois`` module draws that conclusion).
 
+``build_c`` yields candidate multipliers and ``build_stable`` returns the
+first whose certificate ``certificate_violations`` passes: the verifier is
+the construction's only acceptance test.
+
 Everything here is deterministic: scans run over field elements in
 ascending residue order, so two runs with equal inputs produce identical
 certificates.
@@ -24,6 +28,7 @@ Euclidean algorithm and linear algebra in the coefficients.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -85,14 +90,16 @@ def build_c(
     alpha1: FieldElem | int,
     alpha2: FieldElem | int,
     target_deg_c: int,
-) -> tuple[Poly, Poly, Poly]:
-    """Build c with a = p_i*h_i + alpha_i*b*c and separable h_i (i = 1, 2).
+) -> Iterator[tuple[Poly, Poly, Poly]]:
+    """Candidates c, with h_i, such that a = p_i*h_i + alpha_i*b*c (i = 1, 2).
 
     The two congruences are solved with the extended Euclidean algorithm
     and glued; the leftover degree freedom is a factor s of degree
     target_deg_c - deg p1 - deg p2, scanned over the family
-    lambda*(X-beta)^(deg s - 1)*(X-gamma') in ascending order until the
-    resulting h_i are separable and coprime to a*p_i.
+    lambda*(X-beta)^(deg s - 1)*(X-gamma') in ascending order. Validation
+    and the solves run on call; the iterator yields (c, h1, h2) for every s
+    past the root and p-th power filters, and leaves the tests on h_i to
+    the caller (``build_stable`` runs the certificate verifier).
     """
     field = a.field
     p = field.modulus
@@ -114,49 +121,35 @@ def build_c(
     if target_deg_c <= p1.degree + p2.degree:
         raise PreconditionViolated("target degree must exceed deg p1 + deg p2")
 
-    alphas = (a1, a2)
-    mods = (p1, p2)
-    # Solve a = p_i*h_{i,0} + (alpha_i*b*p_{3-i})*c_i with deg c_i < deg p_i.
-    c_parts, h0 = [], []
-    for i in (0, 1):
-        ci, hi = _solve_companion(a, mods[i], alphas[i] * b * mods[1 - i])
-        c_parts.append(ci)
-        h0.append(hi)
-    c_bar = p1 * c_parts[1] + p2 * c_parts[0]
-    h1_base = h0[0] - alphas[0] * b * c_parts[1]
-    h2_base = h0[1] - alphas[1] * b * c_parts[0]
-    bases = (h1_base, h2_base)
+    cross = (a1 * b * p2, a2 * b * p1)
+    # Solve a = p_i*h_{i,0} + cross_i*c_i with deg c_i < deg p_i.
+    c1, h10 = _solve_companion(a, p1, cross[0])
+    c2, h20 = _solve_companion(a, p2, cross[1])
+    c_bar = p1 * c2 + p2 * c1
+    bases = (h10 - a1 * b * c2, h20 - a2 * b * c1)
 
     deg_s = target_deg_c - int(p1.degree) - int(p2.degree)
-    ap = (a * p1, a * p2)
-    cross = (alphas[0] * b * p2, alphas[1] * b * p1)
     bp = (b * p1, b * p2)
+    p12 = p1 * p2
     betas = range(p) if deg_s > 1 else range(1)
-    for lam in range(1, p):
-        for beta in betas:
-            # gcd(s, h_base) = 1 reduces to root checks at s's two roots.
-            if deg_s > 1 and (bases[0](beta) == 0 or bases[1](beta) == 0):
-                continue
-            stem = Poly.linear(field, beta) ** (deg_s - 1) * lam
-            for gamma in range(p):
-                if bases[0](gamma) == 0 or bases[1](gamma) == 0:
+
+    def scan() -> Iterator[tuple[Poly, Poly, Poly]]:
+        for lam in range(1, p):
+            for beta in betas:
+                # gcd(s, h_base) = 1 reduces to root checks at s's two roots.
+                if deg_s > 1 and (bases[0](beta) == 0 or bases[1](beta) == 0):
                     continue
-                s = stem * Poly.linear(field, gamma)
-                if (bp[0] * s).derivative().is_zero():
-                    continue
-                if (bp[1] * s).derivative().is_zero():
-                    continue
-                h_final = [bases[i] - cross[i] * s for i in (0, 1)]
-                if any(h.is_zero() or not is_separable(h) for h in h_final):
-                    continue
-                if any(not gcd(h_final[i], ap[i]).is_one() for i in (0, 1)):
-                    continue
-                c = c_bar + p1 * p2 * s
-                for i in (0, 1):
-                    if mods[i] * h_final[i] + alphas[i] * b * c != a:
-                        raise AssertionError("construction identity broken")
-                return c, h_final[0], h_final[1]
-    raise FieldExhausted("no admissible degree factor s in the scanned family")
+                stem = Poly.linear(field, beta) ** (deg_s - 1) * lam
+                for gamma in range(p):
+                    if bases[0](gamma) == 0 or bases[1](gamma) == 0:
+                        continue
+                    s = stem * Poly.linear(field, gamma)
+                    if any((f * s).derivative().is_zero() for f in bp):
+                        continue
+                    yield (c_bar + p12 * s, bases[0] - cross[0] * s,
+                           bases[1] - cross[1] * s)
+
+    return scan()
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,10 +237,11 @@ def build_stable(a: Poly, b: Poly, n: int, seed: int = 0) -> StableCertificate:
 
     Selection is canonical: gamma1 < gamma2 are the two smallest residues
     avoiding the roots of a*b, and (alpha1, alpha2) starts at (1, 2),
-    advancing in lexicographic order only if the multiplier scan rejects
-    a pair, so the result does not depend on seed. Raises NoValidE when the
-    exponent window is empty, and FieldTooSmall when the field cannot host
-    the selections.
+    advancing in lexicographic order only when no ``build_c`` candidate of
+    a pair verifies; the first candidate ``certificate_violations`` passes
+    is returned, so the result does not depend on seed. Raises NoValidE
+    when the exponent window is empty, FieldTooSmall when the field cannot
+    host the selections, and FieldExhausted when every pair runs out.
     """
     Pencil(a, b)
     field = a.field
@@ -272,25 +266,20 @@ def build_stable(a: Poly, b: Poly, n: int, seed: int = 0) -> StableCertificate:
         for alpha2 in range(1, p):
             if alpha2 == alpha1:
                 continue
-            try:
-                # The solver produces a = p_i*h_i + alpha*b*c; feeding it
-                # the negated pair makes the certificate identities read
-                # a + alpha_i*b*c = p_i*h_i.
-                c, h1, h2 = build_c(
-                    a, b, p1, p2, field(-alpha1), field(-alpha2), target
+            # The solver produces a = p_i*h_i + alpha*b*c; feeding it the
+            # negated pair makes the certificate identities read
+            # a + alpha_i*b*c = p_i*h_i.
+            for c, h1, h2 in build_c(
+                a, b, p1, p2, field(-alpha1), field(-alpha2), target
+            ):
+                cert = StableCertificate(
+                    field=field, a=a, b=b, c=c, n=n, m=m, e=e,
+                    alpha1=field(alpha1), alpha2=field(alpha2),
+                    gamma1=field(gamma1), gamma2=field(gamma2),
+                    h1=h1, h2=h2,
                 )
-            except FieldExhausted:
-                continue
-            cert = StableCertificate(
-                field=field, a=a, b=b, c=c, n=n, m=m, e=e,
-                alpha1=field(alpha1), alpha2=field(alpha2),
-                gamma1=field(gamma1), gamma2=field(gamma2),
-                h1=h1, h2=h2,
-            )
-            violated = certificate_violations(cert)
-            if violated:
-                raise AssertionError(f"construction left clauses {violated}")
-            return cert
+                if not certificate_violations(cert):
+                    return cert
     raise FieldExhausted("no admissible scale pair for the multiplier scan")
 
 
@@ -317,30 +306,20 @@ def smallest_feasible_n(a: Poly, b: Poly, limit: int = 64) -> int:
 # ---------------------------------------------------------------------------
 # Certificate text format (stable key order, consumed by verify tooling).
 
-_CERT_KEYS = ("modulus", "n", "m", "e", "alpha1", "alpha2",
-              "gamma1", "gamma2", "a", "b", "c", "h1", "h2")
+_INT_KEYS = ("n", "m", "e")
+_ELEM_KEYS = ("alpha1", "alpha2", "gamma1", "gamma2")
+_POLY_KEYS = ("a", "b", "c", "h1", "h2")
+_CERT_KEYS = ("modulus",) + _INT_KEYS + _ELEM_KEYS + _POLY_KEYS
 
 
 def certificate_to_text(cert: StableCertificate) -> str:
-    def coeff_line(f: Poly) -> str:
-        return ",".join(str(c) for c in f.coeffs) if not f.is_zero() else "0"
+    def line(key: str) -> str:
+        value = cert.field.modulus if key == "modulus" else getattr(cert, key)
+        if isinstance(value, Poly):
+            value = ",".join(map(str, value.coeffs)) or "0"
+        return f"{key}: {value}\n"
 
-    values = {
-        "modulus": str(cert.field.modulus),
-        "n": str(cert.n),
-        "m": str(cert.m),
-        "e": str(cert.e),
-        "alpha1": str(cert.alpha1),
-        "alpha2": str(cert.alpha2),
-        "gamma1": str(cert.gamma1),
-        "gamma2": str(cert.gamma2),
-        "a": coeff_line(cert.a),
-        "b": coeff_line(cert.b),
-        "c": coeff_line(cert.c),
-        "h1": coeff_line(cert.h1),
-        "h2": coeff_line(cert.h2),
-    }
-    return "\n".join(f"{key}: {values[key]}" for key in _CERT_KEYS) + "\n"
+    return "".join(map(line, _CERT_KEYS))
 
 
 def certificate_from_text(text: str) -> StableCertificate:
@@ -358,19 +337,10 @@ def certificate_from_text(text: str) -> StableCertificate:
         raise ParseError(f"certificate is missing keys: {missing}")
     try:
         field = PrimeField(int(entries["modulus"]))
-        ints = {k: int(entries[k]) for k in ("n", "m", "e")}
-        elems = {k: field(int(entries[k]))
-                 for k in ("alpha1", "alpha2", "gamma1", "gamma2")}
-        polys = {
-            k: Poly(field, [int(v) for v in entries[k].split(",")])
-            for k in ("a", "b", "c", "h1", "h2")
-        }
+        values: dict = {k: int(entries[k]) for k in _INT_KEYS}
+        values.update((k, field(int(entries[k]))) for k in _ELEM_KEYS)
+        values.update((k, Poly(field, [int(v) for v in entries[k].split(",")]))
+                      for k in _POLY_KEYS)
     except ValueError as exc:
         raise ParseError(f"bad certificate value: {exc}") from exc
-    return StableCertificate(
-        field=field, a=polys["a"], b=polys["b"], c=polys["c"],
-        n=ints["n"], m=ints["m"], e=ints["e"],
-        alpha1=elems["alpha1"], alpha2=elems["alpha2"],
-        gamma1=elems["gamma1"], gamma2=elems["gamma2"],
-        h1=polys["h1"], h2=polys["h2"],
-    )
+    return StableCertificate(field=field, **values)

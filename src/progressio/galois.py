@@ -103,8 +103,6 @@ class SnCertificate:
 
     n: int
     e: int
-    witness_alpha1: FieldElem
-    witness_alpha2: FieldElem
     checks: tuple[tuple[str, bool, str], ...]
 
     def to_text(self) -> str:
@@ -189,13 +187,7 @@ def certify_sn(cert: StableCertificate) -> SnCertificate:
         "a transitive group with such a long cycle is primitive, and a "
         "primitive group containing a transposition is the full symmetric group",
     )
-    return SnCertificate(
-        n=n,
-        e=e,
-        witness_alpha1=cert.alpha1,
-        witness_alpha2=cert.alpha2,
-        checks=tuple(checks),
-    )
+    return SnCertificate(n=n, e=e, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from progressio import (
     Pencil,
     PrimeField,
+    StableCertificate,
     build_c,
     build_stable,
     certificate_from_text,
@@ -20,6 +25,7 @@ from progressio import (
     verify_certificate,
 )
 from progressio.errors import (
+    FieldExhausted,
     FieldTooSmall,
     NoValidE,
     PreconditionViolated,
@@ -61,12 +67,23 @@ def test_pencil_type_enforces_invariants():
         Pencil(parse_poly(F3, "X+1"), Poly.zero(F3))
 
 
+def _old_acceptance(a, mods, hs):
+    # The acceptance test build_c ran itself before the verifier took over.
+    return all(not h.is_zero() and is_separable(h) and gcd(h, a * pi).is_one()
+               for pi, h in zip(mods, hs))
+
+
 def test_build_c_worked_example():
     a = parse_poly(F7, "X+1")
     b = Poly.x(F7)
     p1 = Poly.linear(F7, 1) ** 5
     p2 = Poly.linear(F7, 2) ** 2
-    c, h1, h2 = build_c(a, b, p1, p2, 1, 2, 8)
+    for c, h1, h2 in islice(build_c(a, b, p1, p2, 1, 2, 8), 5):
+        assert c.degree == 8
+        assert p1 * h1 + F7(1) * b * c == a
+        assert p2 * h2 + F7(2) * b * c == a
+    c, h1, h2 = next(cand for cand in build_c(a, b, p1, p2, 1, 2, 8)
+                     if _old_acceptance(a, (p1, p2), cand[1:]))
     assert c.degree == 8
     for alpha, pi, hi in ((F7(1), p1, h1), (F7(2), p2, h2)):
         assert pi * hi + alpha * b * c == a
@@ -96,7 +113,9 @@ def test_build_c_deterministic():
     b = Poly.x(F7)
     p1 = Poly.linear(F7, 1) ** 5
     p2 = Poly.linear(F7, 2) ** 2
-    assert build_c(a, b, p1, p2, 1, 2, 8) == build_c(a, b, p1, p2, 1, 2, 8)
+    first = list(islice(build_c(a, b, p1, p2, 1, 2, 8), 5))
+    assert len(first) == 5
+    assert first == list(islice(build_c(a, b, p1, p2, 1, 2, 8), 5))
 
 
 def test_build_stable_worked_example():
@@ -240,4 +259,138 @@ def test_construct_and_certify_at_61_bit_modulus(n):
     cert = build_stable(parse_poly(field, "X+1"), Poly.one(field), n)
     assert verify_certificate(cert)
     assert certify_sn(cert).n == n
+    assert time.perf_counter() - start < 2.0
+
+
+SWEEP_PRIMES = (5, 7, 11, 13, 101, 10007, (1 << 61) - 1)
+
+
+def _seeded_pencils(seed: int, per_prime: int):
+    """Coprime pencils (a, b) with their smallest feasible n, per prime."""
+    rng = random.Random(seed)
+    for p in SWEEP_PRIMES:
+        field = PrimeField(p)
+        made = 0
+        while made < per_prime:
+            a = Poly(field, [rng.randrange(p) for _ in range(rng.randrange(1, 4))])
+            b = Poly(field, [rng.randrange(p) for _ in range(rng.randrange(1, 3))])
+            if a.is_zero() or b.is_zero() or not gcd(a, b).is_one():
+                continue
+            if p < int((a * b).degree) + 4:
+                continue
+            try:
+                n = smallest_feasible_n(a, b, limit=40)
+            except NoValidE:
+                continue
+            made += 1
+            yield a, b, n
+
+
+def _scan_candidates(a, b, n, pairs: int, per_pair: int):
+    """Certificates from build_c candidates, with build_stable's selections."""
+    field, p = a.field, a.field.modulus
+    m = int(max(a.degree, 2 + int(b.degree)))
+    e = choose_e(n, m, p)
+    ab = a * b
+    g1, g2 = islice((g for g in range(p) if ab(g) != 0), 2)
+    mods = (Poly.linear(field, g1) ** e, Poly.linear(field, g2) ** 2)
+    scales = ((x, y) for x in range(1, p) for y in range(1, p) if x != y)
+    for x, y in islice(scales, pairs):
+        for c, h1, h2 in islice(build_c(a, b, *mods, field(-x), field(-y),
+                                        n - int(b.degree)), per_pair):
+            cert = StableCertificate(
+                field=field, a=a, b=b, c=c, n=n, m=m, e=e,
+                alpha1=field(x), alpha2=field(y),
+                gamma1=field(g1), gamma2=field(g2), h1=h1, h2=h2,
+            )
+            yield cert, mods
+
+
+def test_verifier_accepts_exactly_the_old_candidate_test():
+    # build_stable accepts a build_c candidate by the verifier alone; on
+    # candidates past build_c's filters, that equals the old test: both h_i
+    # nonzero, separable and coprime to a*p_i.
+    seen = {True: 0, False: 0}
+    for a, b, n in _seeded_pencils(seed=14, per_prime=3):
+        for cert, mods in _scan_candidates(a, b, n, pairs=3, per_pair=20):
+            old = _old_acceptance(a, mods, (cert.h1, cert.h2))
+            assert (not certificate_violations(cert)) == old, cert
+            seen[old] += 1
+    assert seen[True] > 100 and seen[False] > 10, seen
+
+
+# sha256 of the sweep below, recorded with the construction that ran its own
+# separability and coprimality test before the verifier replayed the result.
+SWEEP_SHA256 = "1cd9ebc27dc82aa4d377865ed09506e514a3a52f16c03069244742bf76d6d57d"
+
+
+def _construction_sweep_digest() -> tuple[int, str]:
+    digest = hashlib.sha256()
+    calls = 0
+    for a, b, n in _seeded_pencils(seed=2006, per_prime=3):
+        for target in (n, n + 1, n + 7):
+            calls += 1
+            try:
+                text = certificate_to_text(build_stable(a, b, target))
+            except (NoValidE, FieldExhausted) as exc:
+                text = f"{type(exc).__name__}: {exc}\n"
+            digest.update(text.encode())
+    return calls, digest.hexdigest()
+
+
+def test_construction_sweep_output_is_pinned():
+    calls, digest = _construction_sweep_digest()
+    assert calls >= 30
+    assert digest == SWEEP_SHA256
+
+
+_FUZZ_CERTS = tuple(
+    build_stable(parse_poly(PrimeField(p), "X+1"),
+                 parse_poly(PrimeField(p), "X+2"), n)
+    for p in (101, 10007, (1 << 61) - 1) for n in (9, 17)
+)
+_INTS = st.integers(-3, 40) | st.integers(-10**30, 10**30)
+
+
+@st.composite
+def _tampered_text(draw):
+    """A valid certificate and its text with one value but modulus changed."""
+    cert = draw(st.sampled_from(_FUZZ_CERTS))
+    lines = certificate_to_text(cert).splitlines()
+    i = draw(st.integers(1, len(lines) - 1))
+    key, old = lines[i].split(": ")
+    if key in ("a", "b", "c", "h1", "h2"):
+        coeffs = old.split(",")
+        extra = st.lists(_INTS.map(str), min_size=1, max_size=4)
+        new = ",".join(draw(st.one_of(
+            st.lists(_INTS.map(str), min_size=1, max_size=40),
+            st.integers(1, len(coeffs)).map(lambda k: coeffs[:k - 1] or ["0"]),
+            extra.map(lambda tail: coeffs + tail),
+        )))
+    else:
+        new = str(draw(_INTS))
+    assume(new != old)
+    lines[i] = f"{key}: {new}"
+    return cert, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_tampered_text())
+def test_tampered_certificate_text_is_refused(case):
+    # Every single value is pinned by some clause, so a one-value change
+    # either fails to parse, parses back to the same certificate (a residue
+    # written as another representative, say), or is refused by the verifier.
+    import time
+
+    from progressio.errors import ParseError
+
+    original, text = case
+    try:
+        cert = certificate_from_text(text)
+    except ParseError:
+        return
+    if cert == original:
+        return
+    start = time.perf_counter()
+    assert certificate_violations(cert)
     assert time.perf_counter() - start < 2.0
