@@ -106,7 +106,8 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     deg_c = n - int(b.degree)
     if deg_c < 0:
         return _report(a, b, n, "exhaustive", [], 0)
-    if p ** (deg_c + 1) > _EXHAUSTIVE_GUARD:
+    # p >= 2, so p^(deg_c + 1) exceeds the guard once deg_c reaches its bit length.
+    if deg_c >= _EXHAUSTIVE_GUARD.bit_length() or p ** (deg_c + 1) > _EXHAUSTIVE_GUARD:
         raise TooLarge(f"{p}^{deg_c + 1} candidate space exceeds the guard")
     b_c = list(b.coeffs)
     # c = c0 + X*h, c0 fastest (code sum order); h: higher digits, lead last, or ().

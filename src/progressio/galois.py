@@ -8,14 +8,15 @@ for the designated ramified specializations the multiplicity pattern
 every e_i is coprime to p, with one wild exception: characteristic 2
 with a single doubled point, which still yields the transposition.
 
-``certify_sn`` draws only certified conclusions from one replay of the
-certificate clauses: transitivity from gcd(a, b) = gcd(a, c) = 1, which is
-stable under constant-field extension, and the long cycle and the
-transposition from the inertia types the verified witness identities fix.
-A transitive group containing both (with n/2 < e < n, gcd(e, n) = 1) is the
-full symmetric group. ``ramification_type`` recovers those types from factor
-degrees and multiplicities as an independent cross-check (nothing is split or
-drawn); ``cycle_type_histogram`` is empirical evidence, kept apart from certification.
+``certify_sn`` replays the certificate once and states the four clauses it
+settles: ``transitive`` by pencil-coprime and c-coprime (gcd(a, b·c) = 1 is
+stable under constant-field extension); ``long-cycle`` and ``transposition`` by
+the witness identities, h1/h2-separable and h1/h2-coprime (types {e, 1^(n-e)}
+and {2, 1^(n-2)}) and degree/exponent (n/2 < e < n, gcd(e, n·p) = 1); and
+``symmetric-group``, as a transitive group with such a cycle is primitive.
+``ramification_type`` recovers the types from factor degrees and multiplicities
+as an independent cross-check (nothing is split or drawn); ``cycle_type_histogram``
+is empirical evidence, kept apart from certification.
 """
 
 from __future__ import annotations
@@ -61,17 +62,6 @@ class RamificationType:
         return all(self.tame_flags) or self.wild_exception
 
 
-def _ramification(exponents: list[int], p: int) -> RamificationType:
-    # Tame where gcd(e_i, p) = 1; wild exception: p = 2 with one doubled point.
-    exponents = sorted(exponents, reverse=True)
-    return RamificationType(
-        exponents=tuple(exponents),
-        n=sum(exponents),
-        tame_flags=tuple(math.gcd(x, p) == 1 for x in exponents),
-        wild_exception=p == 2 and [x for x in exponents if x % 2 == 0] == [2],
-    )
-
-
 def ramification_type(f_alpha: Poly) -> RamificationType:
     """Extract the ramification pattern from one specialization.
 
@@ -81,13 +71,21 @@ def ramification_type(f_alpha: Poly) -> RamificationType:
     factors are distinct monic irreducibles, so separable over F_p. Only
     their degrees and multiplicities are computed, with no random draws.
     """
+    p = f_alpha.field.modulus
     exponents: list[int] = []
-    for d, mult in _factor_degrees(list(f_alpha.coeffs), f_alpha.field.modulus):
+    for d, mult in _factor_degrees(list(f_alpha.coeffs), p):
         if mult >= 2 and d != 1:
             msg = f"repeated factor of degree {d} is not linear"
             raise NonSquarefreeUnramifiedPart(msg)
         exponents.extend([mult] * d)  # one point per root, each of index mult
-    return _ramification(exponents, f_alpha.field.modulus)
+    # Tame where gcd(e_i, p) = 1; wild exception: p = 2 with one doubled point.
+    exponents.sort(reverse=True)
+    return RamificationType(
+        exponents=tuple(exponents),
+        n=sum(exponents),
+        tame_flags=tuple(math.gcd(x, p) == 1 for x in exponents),
+        wild_exception=p == 2 and [x for x in exponents if x % 2 == 0] == [2],
+    )
 
 
 _TRANSITIVITY_NOTE = (
@@ -137,57 +135,30 @@ def transposition_evidence(rt: RamificationType, n: int) -> bool:
     return rt.n == n and big == [2] and rt.is_valid_evidence
 
 
-def _inertia_type(n: int, k: int, p: int) -> RamificationType:
-    """Type {k, 1^(n-k)} of a verified witness (X - gamma)^k * h, degree n.
-
-    h is separable and coprime to X - gamma, so it adds only simple roots.
-    """
-    return _ramification([k] + [1] * (n - k), p)
-
-
 def certify_sn(cert: StableCertificate) -> SnCertificate:
-    """All-or-nothing certification; raises ClauseFailed at the first gap.
+    """Replay the certificate, then state the four clauses it settles.
 
-    Costs one replay: every clause is read off the verified certificate.
+    Raises ClauseFailed("certificate", ...) naming every violated clause.
+    Nothing is re-derived: degree/exponent gives n/2 < e < n - m <= n - 2 and
+    gcd(e, n·p) = 1, so the e-cycle is tame and gcd(e, n) = 1. No transposition
+    is wild: no certificate over F_2 passes the replay, as its alphas clause
+    needs two distinct nonzero scales.
     """
     violated = certificate_violations(cert)
     if violated:
         raise ClauseFailed("certificate", "violated: " + ", ".join(violated))
     n, e = cert.n, cert.e
-    checks: list[tuple[str, bool, str]] = []
-
-    def clause(name: str, ok: bool, detail: str):
-        checks.append((name, ok, detail))
-        if not ok:
-            raise ClauseFailed(name, detail)
-
-    # The replay verified pencil-coprime and c-coprime: gcd(a, b*c) = 1.
-    clause("transitive", True, _TRANSITIVITY_NOTE)
-
-    p = cert.field.modulus
-    rt1 = _inertia_type(n, e, p)
-    clause(
-        "long-cycle",
-        long_cycle_evidence(rt1, n, e),
-        f"inertia type {rt1.exponents} gives a tame {e}-cycle, "
-        f"{n}/2 < {e} < {n}, gcd({e},{n})=1",
-    )
-
-    rt2 = _inertia_type(n, 2, p)
-    clause(
-        "transposition",
-        transposition_evidence(rt2, n),
-        f"inertia type {rt2.exponents} gives a transposition"
-        + (" (wild characteristic-2 case)" if rt2.wild_exception else ""),
-    )
-
-    clause(
-        "symmetric-group",
-        True,
-        "a transitive group with such a long cycle is primitive, and a "
-        "primitive group containing a transposition is the full symmetric group",
-    )
-    return SnCertificate(n=n, e=e, checks=tuple(checks))
+    return SnCertificate(n=n, e=e, checks=(
+        ("transitive", True, _TRANSITIVITY_NOTE),
+        ("long-cycle", True,
+         f"inertia type {(e,) + (1,) * (n - e)} gives a tame {e}-cycle, "
+         f"{n}/2 < {e} < {n}, gcd({e},{n})=1"),
+        ("transposition", True,
+         f"inertia type {(2,) + (1,) * (n - 2)} gives a transposition"),
+        ("symmetric-group", True,
+         "a transitive group with such a long cycle is primitive, and a "
+         "primitive group containing a transposition is the full symmetric group"),
+    ))
 
 
 # ---------------------------------------------------------------------------

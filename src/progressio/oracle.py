@@ -45,7 +45,7 @@ def _monic_polys(field: PrimeField, degree: int):
 
 def enumerate_irreducibles(p: int, n: int) -> list[Poly]:
     """All monic irreducibles of degree n over F_p, sieved, graded-lex order."""
-    if p**n > _SCALE_GUARD:
+    if n > _SCALE_GUARD.bit_length() or p**n > _SCALE_GUARD:  # p >= 2
         raise TooLarge(f"{p}^{n} exceeds the sieve guard of {_SCALE_GUARD}")
     return list(_enumerate_cached(p, n))
 

@@ -32,7 +32,8 @@ from array import array
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import BothZero, FieldMismatch, ParseError, ZeroPolynomial
+from .errors import (BothZero, FieldMismatch, ParseError, PreconditionViolated,
+                     ZeroPolynomial)
 from .ff import FieldElem, PrimeField
 
 ZERO_DEGREE = float("-inf")
@@ -453,7 +454,9 @@ def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def pow_mod(base: Poly, k: int, modulus: Poly) -> Poly:
-    """base^k reduced modulo a nonzero polynomial."""
+    """base^k reduced modulo a nonzero polynomial, for k >= 0."""
+    if k < 0:
+        raise PreconditionViolated(f"pow_mod needs k >= 0, got {k}")
     if base.field != modulus.field:
         raise FieldMismatch("pow_mod operands over different fields")
     if modulus.is_zero():

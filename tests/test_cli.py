@@ -117,6 +117,17 @@ def test_search_exhaustive_strategy(tmp_path):
     assert body.count("c: ") == body.count("member: ") >= 1
 
 
+def test_search_exhaustive_refuses_huge_degree_at_once(capsys):
+    start = time.perf_counter()
+    code = run(["search", "-p", "3", "-a", "X+1", "-b", "1", "-n", str(10**8),
+                "--strategy", "exhaustive"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "candidate space exceeds the guard" in captured.err
+
+
 def test_count_subcommand(tmp_path, capsys):
     cert_file = tmp_path / "cert.txt"
     run(["construct", "-p", "101", "-a", "X+1", "-b", "1", "-n", "7",

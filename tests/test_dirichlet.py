@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -166,6 +167,10 @@ def test_search_exhaustive_guard():
     with pytest.raises(TooLarge):
         search_exhaustive(parse_poly(PrimeField(101), "X+1"),
                           Poly.one(PrimeField(101)), 4)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"^3\^100000001 candidate space"):
+        search_exhaustive(parse_poly(F3, "X+1"), Poly.one(F3), 10**8)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_search_exhaustive_requires_coprime():

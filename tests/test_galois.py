@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -6,6 +9,7 @@ from progressio import (
     PrimeField,
     RamificationType,
     build_stable,
+    certificate_violations,
     certify_sn,
     cycle_type_histogram,
     factorize,
@@ -22,7 +26,6 @@ from progressio.errors import (
     NonSquarefreeUnramifiedPart,
     PreconditionViolated,
 )
-from progressio.galois import _inertia_type
 from progressio.poly import Poly
 
 F2 = PrimeField(2)
@@ -133,8 +136,6 @@ def test_certify_sn_full_run(cert_f7):
 
 
 def test_certify_sn_rejects_invalid_certificate(cert_f7):
-    import dataclasses
-
     broken = dataclasses.replace(cert_f7, h1=cert_f7.h1 + 1)
     with pytest.raises(ClauseFailed) as info:
         certify_sn(broken)
@@ -144,8 +145,9 @@ def test_certify_sn_rejects_invalid_certificate(cert_f7):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 10007])
 def test_witness_types_match_factorization(p):
-    # certify_sn reads the inertia types off the verified clauses; factoring
-    # the two specializations must give exactly the same types.
+    # certify_sn states the inertia types {e, 1^(n-e)} and {2, 1^(n-2)} without
+    # factoring; factoring the two specializations must give exactly those,
+    # tame, and pass the evidence predicates.
     rng = random.Random(p)
     field = PrimeField(p)
     checked = 0
@@ -158,11 +160,61 @@ def test_witness_types_match_factorization(p):
         except (MathError, PreconditionViolated):
             continue  # infeasible pencil or degree; draw again
         pencil = (cert.a, cert.b, cert.c)
-        for k, alpha in ((cert.e, cert.alpha1), (2, cert.alpha2)):
-            assert _inertia_type(cert.n, k, p) == ramification_type(
-                specialize(pencil, alpha)
-            )
+        rt1, rt2 = (ramification_type(specialize(pencil, alpha))
+                    for alpha in (cert.alpha1, cert.alpha2))
+        for k, rt in ((cert.e, rt1), (2, rt2)):
+            assert rt.exponents == (k,) + (1,) * (cert.n - k)
+            assert rt.n == cert.n and all(rt.tame_flags)
+        assert long_cycle_evidence(rt1, cert.n, cert.e)
+        assert transposition_evidence(rt2, cert.n)
         checked += 1
+
+
+# sha256 of the sweep below, recorded with the certify_sn that rebuilt both
+# inertia types and re-checked them with the evidence predicates.
+CERTIFY_SN_SHA256 = "c3aff5baa1f5ebc0505ce87f645a2718d19511802c6334cc376ac45af2861c56"
+
+
+def _certify_sn_sweep_digest() -> tuple[int, str]:
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    calls = 0
+    for p in (3, 5, 7, 101, 10007, (1 << 61) - 1):
+        field = PrimeField(p)
+        for _ in range(4):
+            a = Poly(field, [rng.randrange(p) for _ in range(rng.randint(1, 3))])
+            b = Poly(field, [rng.randrange(p) for _ in range(rng.randint(1, 2))])
+            for n in (7, 16):
+                calls += 1
+                try:
+                    text = certify_sn(build_stable(a, b, n)).to_text()
+                except (MathError, PreconditionViolated) as exc:
+                    text = f"{type(exc).__name__}: {exc}\n"
+                digest.update(text.encode())
+    return calls, digest.hexdigest()
+
+
+def test_certify_sn_sweep_output_is_pinned():
+    calls, digest = _certify_sn_sweep_digest()
+    assert calls >= 30
+    assert digest == CERTIFY_SN_SHA256
+
+
+def test_no_alpha_pair_over_f2_passes(cert_f7):
+    # certify_sn prints no wild-transposition case: over F_2 the alphas clause
+    # (two distinct nonzero scales) fails for every pair, so no certificate
+    # over F_2 passes the replay.
+    cert = cert_f7
+    a, b, c = (Poly(F2, f.coeffs) for f in (cert.a, cert.b, cert.c))
+    h1, h2 = (Poly(F2, f.coeffs) for f in (cert.h1, cert.h2))
+    for x, y in product(range(2), repeat=2):
+        over_f2 = dataclasses.replace(
+            cert, field=F2, a=a, b=b, c=c, h1=h1, h2=h2, alpha1=F2(x),
+            alpha2=F2(y), gamma1=F2(0), gamma2=F2(1),
+        )
+        assert "alphas" in certificate_violations(over_f2), (x, y)
+        with pytest.raises(ClauseFailed, match="alphas"):
+            certify_sn(over_f2)
 
 
 def test_histogram_empty_sample(cert_f7):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from progressio import (
@@ -37,6 +39,10 @@ def test_enumerate_irreducibles_examples():
 def test_enumerate_guard():
     with pytest.raises(TooLarge):
         enumerate_irreducibles(101, 4)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"^3\^100000000 exceeds the sieve guard"):
+        enumerate_irreducibles(3, 10**8)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_naive_factor_examples():

@@ -19,6 +19,7 @@ from progressio.errors import (
     BothZero,
     FieldMismatch,
     ParseError,
+    PreconditionViolated,
     ZeroPolynomial,
 )
 from progressio.poly import (
@@ -350,6 +351,12 @@ def test_pow_mod_and_compose_mod():
     h = parse_poly(F5, "X^2+3")
     direct = (Poly.constant(F5, 2) * h + 1) % f
     assert Poly(F5, _compose_mod(g.coeffs, h.coeffs, f.coeffs, 5)) == direct
+
+
+def test_pow_mod_rejects_negative_exponent():
+    # Squaring toward k = 0 never ends for k < 0 (k >> 1 stays at -1).
+    with pytest.raises(PreconditionViolated):
+        pow_mod(parse_poly(F7, "X+2"), -1, parse_poly(F7, "X^3+X+1"))
 
 
 def test_parse_both_grammars():
