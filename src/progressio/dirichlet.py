@@ -14,20 +14,20 @@ p - 1 nonzero scales should find about p/n hits. About 1 - D_n/n! of them (D_n t
 derangements) have a root x, so are reducible (n >= 2); as alpha = -a(x)/bc(x), one
 pass over F_p marks those, a byte each, so p - 1 is capped at the exhaustive guard.
 The exhaustive scan sieves its constant digit c0 the same way, per higher digits.
-Both scans pass the unmarked members to the irreducibility test as rootless, so
-it skips its root gcd gcd(X^p - X, f).
+All three searches walk one kernel; the sieved two test members as rootless, which
+skips the root gcd gcd(X^p - X, f), kept only by the unsieved constructed scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from ._par import run_chunked, split_range, worker_count
 from .construct import Pencil, StableCertificate, build_stable, verify_certificate
 from .errors import PreconditionViolated, TooLarge
-from .factor import _rabin_irreducible, is_irreducible
+from .factor import _rabin_irreducible
 from .poly import Poly, _add, _eval, _mul, _mul_scalar, format_poly
 
 _EXHAUSTIVE_GUARD = 10**7
@@ -82,16 +82,11 @@ def search_constructed(a: Poly, b: Poly, n: int, max_hits: int = 16) -> SearchRe
         raise PreconditionViolated(f"max_hits must be in [0, 4096], got {max_hits}")
     cert = build_stable(a, b, n)
     p = a.field.modulus
-    bc = b * cert.c
-    hits = []
-    scanned = 0
-    for alpha in range(1, p):
-        if len(hits) >= max_hits:
-            break
-        scanned += 1
-        member = a + alpha * bc
-        if is_irreducible(member):
-            hits.append((alpha * cert.c, member))
+    line = _line_scan(p, n, a.coeffs, (b * cert.c).coeffs, range(1, p))  # no sieve fits
+    found = list(islice(line, max_hits))
+    hits = [(alpha * cert.c, a._wrap(member)) for alpha, member in found]
+    # A met budget ends the scan at its last hit's scale; otherwise the field ends it.
+    scanned = (found[-1][0] if found else 0) if len(found) == max_hits else p - 1
     return _report(a, b, n, "constructed-scan", hits, scanned)
 
 
@@ -112,18 +107,26 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     b_c = list(b.coeffs)
     # c = c0 + X*h, c0 fastest (code sum order); h: higher digits, lead last, or ().
     highs = product(range(1, p), *[range(p)] * (deg_c - 1)) if deg_c else [()]
+    c0s = range(0 if deg_c else 1, p)
     hits = []
     for top in highs:
         h = top[::-1]
         base = _add(a.coeffs, [0, *_mul(b_c, h, p)], p)  # b(x) = 0: base(x) = a(x) != 0
-        marked = _root_sieve(base, b_c, p)
-        for c0 in range(0 if deg_c else 1, p):
-            if n >= 2 and marked[c0]:
-                continue
-            member = _add(base, _mul_scalar(b_c, c0, p), p)
-            if len(member) == n + 1 and _rabin_irreducible(member, p, True):
-                hits.append((a._wrap([c0, *h]), a._wrap(member)))
+        marks = _root_sieve(base, b_c, p) if n >= 2 else None
+        for c0, member in _line_scan(p, n, base, b_c, c0s, marks):
+            hits.append((a._wrap([c0, *h]), a._wrap(member)))
     return _report(a, b, n, "exhaustive", hits, (p - 1) * p**deg_c)
+
+
+def _line_scan(p, n, base, direction, scales, marks=None):
+    """Yield (t, member) per unmarked t: base + t*direction, irreducible of degree n."""
+    for t in scales:
+        if marks is not None and marks[t]:  # a root sieve marks each member with a root
+            continue
+        member = _add(base, _mul_scalar(direction, t, p), p)
+        # Looked up per call as this module's global: tracers rebind _rabin_irreducible.
+        if len(member) == n + 1 and _rabin_irreducible(member, p, marks is not None):
+            yield t, member
 
 
 def _root_sieve(a_coeffs, bc_coeffs, p: int) -> bytearray:
@@ -136,11 +139,8 @@ def _root_sieve(a_coeffs, bc_coeffs, p: int) -> bytearray:
 
 
 def _density_chunk(job):
-    p, a_coeffs, bc_coeffs, lo, marked = job
-    return sum(
-        _rabin_irreducible(_add(a_coeffs, _mul_scalar(bc_coeffs, alpha, p), p), p, True)
-        for alpha, rooted in enumerate(marked, lo) if not rooted
-    )
+    p, n, base, bc_coeffs, marked = job  # base = a + lo*bc: marked[t] is scale lo + t
+    return sum(1 for _ in _line_scan(p, n, base, bc_coeffs, range(len(marked)), marked))
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,8 +181,8 @@ def density_scan(cert: StableCertificate, workers: int | None = None) -> Density
         workers = worker_count()
     a, bc = list(cert.a.coeffs), list((cert.b * cert.c).coeffs)
     marked = _root_sieve(a, bc, p)
-    spans = split_range(1, p, workers * 8)
-    jobs = [(p, a, bc, lo, bytes(marked[lo:hi])) for lo, hi in spans]
+    jobs = [(p, cert.n, _add(a, _mul_scalar(bc, lo, p), p), bc, bytes(marked[lo:hi]))
+            for lo, hi in split_range(1, p, workers * 8)]
     count = sum(run_chunked(_density_chunk, jobs, workers))
     expected = Fraction(p, cert.n)
     rooted = marked.count(1) - marked[0]  # alpha = 0 is no scale

@@ -19,7 +19,8 @@ from progressio import (
     search_constructed,
     search_exhaustive,
 )
-from progressio.dirichlet import _root_sieve
+import progressio.dirichlet as dirichlet
+from progressio.dirichlet import SearchReport, _root_sieve
 from progressio.errors import PreconditionViolated, TooLarge
 from progressio.poly import Poly, _add, _eval, _mul, _mul_scalar
 
@@ -82,6 +83,66 @@ def test_search_constructed_accepts_the_largest_budget():
     # p = 7 has six scales, so the field, not the budget, ends the scan.
     report = search_constructed(parse_poly(F7, "X+1"), Poly.one(F7), 9, max_hits=4096)
     assert report.scanned == 6
+
+
+@pytest.mark.parametrize("p, n, max_hits", [
+    (7, 9, 16),  # six scales: the field ends the scan
+    (101, 7, 1),  # the budget is met partway along the line
+    (101, 7, 3),
+    (101, 7, 0),
+    (2**61 - 1, 7, 2),  # the scan must stay lazy
+])
+def test_search_constructed_matches_the_plain_loop(p, n, max_hits):
+    # Reference: a Poly loop over every nonzero scale, unsieved, until the budget.
+    field = PrimeField(p)
+    a, b = parse_poly(field, "X+1"), Poly.one(field)
+    cert = build_stable(a, b, n)
+    bc = b * cert.c
+    hits, scanned = [], 0
+    for alpha in range(1, p):
+        if len(hits) >= max_hits:
+            break
+        scanned += 1
+        member = a + alpha * bc
+        if is_irreducible(member):
+            hits.append((alpha * cert.c, member))
+    expected = SearchReport(
+        a=a, b=b, n=n, strategy="constructed-scan", hits=tuple(hits), scanned=scanned,
+        density=Fraction(len(hits), scanned) if scanned else Fraction(0))
+    report = search_constructed(a, b, n, max_hits=max_hits)
+    assert report.hits == expected.hits
+    assert report.scanned == expected.scanned
+    assert report.to_csv() == expected.to_csv()
+    assert report.to_detail_text() == expected.to_detail_text()
+
+
+def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
+    # The flag follows from whether the caller sieved; the kernel looks the test
+    # up as dirichlet's global, so rebinding that alias sees every member.
+    flags = []
+    test = dirichlet._rabin_irreducible
+
+    def recorded(f, p, rootless):
+        flags.append(rootless)
+        return test(f, p, rootless)
+
+    monkeypatch.setattr(dirichlet, "_rabin_irreducible", recorded)
+
+    def flags_of(search, *args, **kwargs):
+        flags.clear()
+        search(*args, **kwargs)
+        assert flags
+        return set(flags)
+
+    field = PrimeField(101)
+    a, b = parse_poly(field, "X+1"), Poly.one(field)
+    cert = build_stable(a, b, 7, seed=0)
+    assert flags_of(density_scan, cert, workers=1) == {True}
+    for n in (2, 5):
+        assert flags_of(search_exhaustive, parse_poly(F3, "X+1"), Poly.one(F3), n) == {True}
+    # n = 1 is not sieved: every linear member is rooted.
+    assert flags_of(search_exhaustive, parse_poly(F5, "X+3"), Poly.one(F5), 1) == {False}
+    assert flags_of(search_constructed, a, b, 7, max_hits=3) == {False}
 
 
 def test_sieved_members_skip_the_root_gcd(monkeypatch):
