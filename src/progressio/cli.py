@@ -26,7 +26,7 @@ from .factor import count_irreducibles, factorize, is_irreducible
 from .ff import PrimeField
 from .galois import certify_sn
 from .oracle import _monic_polys, enumerate_irreducibles, naive_factor, naive_mul
-from .poly import Poly, parse_poly
+from .poly import Poly, _resultant, parse_poly
 
 
 def _emit(text: str, path: str | None):
@@ -108,6 +108,17 @@ def _selftest_suites(level: str):
         return True
 
     yield "factorization agrees with trial division", factor_agreement
+
+    def discriminant_agreement(f: Poly, p: int, n: int) -> bool:
+        factors = naive_factor(f).factors
+        d = (-1) ** (n * (n - 1) // 2) * _resultant(f.coeffs, f.derivative().coeffs, p)
+        squarefree = all(mult == 1 for _, mult in factors)  # else disc f = 0
+        return pow(d, (p - 1) // 2, p) == squarefree * (-1) ** (n - len(factors)) % p
+
+    odd = ((3, 4),) if level == "quick" else ((3, 6), (5, 5))
+    yield "discriminant character agrees with the factor count", lambda: all(
+        discriminant_agreement(f, p, n) for p, top in odd for n in range(1, top + 1)
+        for f in _monic_polys(PrimeField(p), n))
 
     def search_count(p: int, n: int) -> bool:
         # a = X+1, b = 1: c -> a + c permutes the degree-n polynomials when n >= 2.

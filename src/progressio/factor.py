@@ -5,8 +5,9 @@ applied as poly's ``_linear_map``, so no exponent grows with p^d. Below p = 8
 (``_SHIFT_SWITCH``), X^p and each row X^p * row_(i-1) take p multiply-by-X steps of
 O(deg f) (CPython 3.11, deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at
 p = 11, 13); from 8 on, a row is a mulmod, and X^p a squaring per bit of p plus a
-shift per 1 bit. Below the size switch (degree <= 8) the test is Berlekamp's count:
-the nullity of Q - I is the number of distinct irreducible factors (Berlekamp 1970).
+shift per 1 bit. Below the size switch (degree <= 8) the test is Berlekamp's count after
+a discriminant check: the nullity of Q - I is the number of distinct irreducible factors
+r (Berlekamp 1970), and for odd p disc f has the character (-1)^(n-r) (Swan 1962).
 Factorization runs Ben-Or's distinct-degree loop at every degree, and the test runs
 it from the switch on: for d = 1, 2, ... while 2d <= deg(rest), gcd(X^(p^d) - X,
 rest) is the product of the degree-d irreducible factors, and what is left at the
@@ -50,6 +51,7 @@ from .poly import (
     _mul,
     _pow_mod,
     _reducer,
+    _resultant,
     _sub,
     _times_x,
     _trim,
@@ -152,17 +154,20 @@ def _ben_or(f: list[int], p: int):
 def _rabin_irreducible(coeffs, p: int, rootless: bool = False) -> bool:
     """Irreducibility test; coefficients normalized, degree n >= 1.
 
-    Below the size switch: f = g^k, g irreducible, iff rows 1..n-1 of Q - I are
-    independent (row 0 is zero), and then f is irreducible iff gcd(f, f') = 1.
-    Unless ``rootless`` (the caller has proved that f has no root), a root gcd
-    gcd(X^p - X, f) runs first. The count alone is exact, so ``rootless`` changes
-    the cost, never the answer. From the switch on, Ben-Or: True iff
-    gcd(X^(p^d) - X, f) = 1 for every d <= n/2.
+    Below the size switch, in order: False if disc f = 0 or (odd p) its character is not
+    (-1)^(n-1); unless ``rootless`` (the caller has proved that f has no root), False if
+    gcd(X^p - X, f) != 1; then True iff rows 1..n-1 of Q - I are independent (row 0 is
+    zero), f being squarefree. The count alone is exact, so ``rootless`` changes the
+    cost, never the answer. From the switch on, Ben-Or: True iff gcd(X^(p^d) - X, f) = 1
+    for every d <= n/2.
     """
     f = _monic(coeffs, p)
     n = len(f) - 1
     if n >= _SIZE_SWITCH:
         return next(_ben_or(f, p))[1] == n
+    d = (-1) ** (n * (n - 1) // 2) * _resultant(f, _deriv(f, p), p)  # disc f, f monic
+    if not d or p > 2 and pow(d, (p - 1) // 2, p) != (-1) ** (n - 1) % p:
+        return False  # a repeated factor, or disc f has the character (-1)^(n-r), r > 1
     rem = _reducer(f, p) if p >= _SHIFT_SWITCH else None  # shift steps need none
     xp = _times_xp([1], f, rem, p)
     if not rootless and n > 1 and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
@@ -182,7 +187,7 @@ def _rabin_irreducible(coeffs, p: int, rootless: bool = False) -> bool:
             t = s.pop(c) * inv % p
             if t:
                 m[j] = [a - t * b for a, b in zip(s, r)]
-    return len(_gcd(f, _deriv(f, p), p)) == 1
+    return True
 
 
 def is_irreducible(f: Poly) -> bool:

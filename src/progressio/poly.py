@@ -7,9 +7,9 @@ the zero polynomial is the sentinel ``ZERO_DEGREE`` (minus infinity), which
 compares below every integer but poisons arithmetic instead of silently
 acting like -1.
 
-Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``) operate on Poly
-values; the underscore-prefixed kernels work on raw coefficient lists and
-carry the performance-sensitive inner loops.
+Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``) operate on Poly values; the
+underscore-prefixed kernels, Euclid's ``_resultant`` among them, work on raw coefficient
+lists and carry the performance-sensitive inner loops.
 
 Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
 Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a,
@@ -203,6 +203,15 @@ def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     while b:
         a, b = b, _divmod(a, b, p)[1]
     return _monic(a, p)
+
+
+def _resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    # res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r), r = a mod b
+    out = 1
+    while len(b) > 1:  # m, n: the lengths of a, b before the step
+        a, b, m, n = b, _divmod(a, b, p)[1], len(a), len(b)
+        out = out * (-1) ** ((m - 1) * (n - 1)) * pow(a[-1], m - len(b), p) % p
+    return out * pow(b[0], len(a) - 1, p) % p if a and b else 0
 
 
 def _xgcd(a, b, p):

@@ -12,7 +12,6 @@ from progressio import (
     build_stable,
     count_irreducibles,
     density_scan,
-    enumerate_irreducibles,
     gcd,
     is_irreducible,
     parse_poly,
@@ -146,13 +145,20 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
 
 
 def test_sieved_members_skip_the_root_gcd(monkeypatch):
-    # Below the size switch a sieved member costs one gcd, gcd(f, f'), and only when
-    # Berlekamp's count finds one irreducible factor: f irreducible (a hit) or f = g^k.
+    # Below the size switch a sieved member costs one resultant, res(f, f'), and no
+    # gcd at all: the sieve stands in for the root gcd, and res(f, f') != 0 proves f
+    # squarefree.
     import progressio.factor as fmod
 
-    calls = []
-    gcd_ = fmod._gcd
-    monkeypatch.setattr(fmod, "_gcd", lambda *args: calls.append(1) or gcd_(*args))
+    gcds, resultants = [], []
+    gcd_, resultant_ = fmod._gcd, fmod._resultant
+
+    def resultant(f, g, p):
+        resultants.append(tuple(f))
+        return resultant_(f, g, p)
+
+    monkeypatch.setattr(fmod, "_gcd", lambda *args: gcds.append(1) or gcd_(*args))
+    monkeypatch.setattr(fmod, "_resultant", resultant)
     p, n = 3, 6
     report = search_exhaustive(parse_poly(F3, "X+1"), Poly.one(F3), n)
     assert len(report.hits) == (p - 1) * count_irreducibles(p, n)
@@ -160,11 +166,8 @@ def test_sieved_members_skip_the_root_gcd(monkeypatch):
     members = [Poly(F3, [*c, lead]) for lead in (1, 2)
                for c in itertools.product(range(p), repeat=n)]
     tested = [m for m in members if all(_eval(m.coeffs, x, p) for x in range(p))]
-    # g^k of degree 6 with k >= 2 and no root: deg g = 3, k = 2 or deg g = 2, k = 3.
-    powers = {u * g**k for d, k in ((3, 2), (2, 3))
-              for g in enumerate_irreducibles(p, d) for u in (1, 2)}
-    assert len(calls) == len(report.hits) + sum(m in powers for m in tested)
-    assert sum(m in powers for m in tested) > 0
+    assert gcds == []
+    assert sorted(resultants) == sorted(m.monic().coeffs for m in tested)
 
 
 def test_search_constructed_noncoprime_rejected():

@@ -16,7 +16,7 @@ from progressio import (
 from progressio.errors import ConstantPolynomial, ZeroPolynomial
 from progressio.factor import _ben_or, _rabin_irreducible
 from progressio.oracle import _monic_polys
-from progressio.poly import Poly
+from progressio.poly import Poly, _deriv, _mul, _resultant
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -59,7 +59,7 @@ def test_is_irreducible_rejects_constants():
 def test_is_irreducible_against_enumeration():
     # Every monic f: Berlekamp's count below the size switch (degree <= 8) against
     # the oracle's sieve, and the rootless entry against the plain one, rooted f too.
-    for p, top in ((2, 8), (3, 6), (5, 6)):
+    for p, top in ((2, 8), (3, 6), (5, 6), (7, 5)):
         field = PrimeField(p)
         for n in range(1, top + 1):
             expected = set(enumerate_irreducibles(p, n))
@@ -67,6 +67,31 @@ def test_is_irreducible_against_enumeration():
                 got = is_irreducible(f)
                 assert got == (f in expected), f
                 assert _rabin_irreducible(list(f.coeffs), p, True) == got, f
+
+
+def test_discriminant_character_counts_the_factors():
+    # Stickelberger: over F_p, p odd, a monic squarefree f of degree n with r
+    # irreducible factors has disc f = (-1)^(n(n-1)/2) res(f, f') of character
+    # (-1)^(n-r). Each such f of degree <= 6 is one product of r distinct sieved
+    # irreducibles, so the walk below meets every one exactly once.
+    for p in (3, 5, 7):
+        irreducibles = [list(g.coeffs) for d in range(1, 7)
+                        for g in enumerate_irreducibles(p, d)]
+        seen = [0] * 7
+
+        def walk(start, f, r):
+            n = len(f) - 1
+            if n:
+                seen[n] += 1
+                disc = (-1) ** (n * (n - 1) // 2) * _resultant(f, _deriv(f, p), p)
+                assert pow(disc, (p - 1) // 2, p) == (-1) ** (n - r) % p, (p, f)
+            for i in range(start, len(irreducibles)):
+                if n + len(irreducibles[i]) - 1 > 6:
+                    break  # sorted by degree
+                walk(i + 1, _mul(f, irreducibles[i], p), r + 1)
+
+        walk(0, [1], 0)
+        assert seen[1:] == [p] + [p**n - p ** (n - 1) for n in range(2, 7)]
 
 
 def test_irreducible_count_includes_units():

@@ -26,8 +26,11 @@ from progressio.poly import (
     _SIZE_SWITCH,
     Poly,
     _compose_mod,
+    _deriv,
     _linear_map,
+    _mul,
     _reducer,
+    _resultant,
     _slot_bytes,
 )
 
@@ -304,6 +307,50 @@ def test_pow_mod_matches_repeated_multiplication():
             for k in range(12):
                 assert pow_mod(base, k, m) == acc % m, (p, deg_m, k)
                 acc = naive_mul(acc, base) % m
+
+
+def _sylvester_det(a, b, p):
+    # det of the Sylvester matrix of a, b (degrees m, n): n shifted rows of a, m of b,
+    # by Gaussian elimination mod p.
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    det = 1
+    for c in range(m + n):
+        pivot = next((r for r in range(c, m + n) if rows[r][c] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, m + n):
+            t = rows[r][c] * inv % p
+            rows[r] = [x - t * y for x, y in zip(rows[r], rows[c])]
+    return det % p
+
+
+def test_resultant_matches_the_sylvester_determinant():
+    rng = random.Random(61)
+    for p in (2, 3, 10007, (1 << 61) - 1):
+        def draw(deg):
+            return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+        for _ in range(60):
+            a, b = draw(rng.randrange(0, 9)), draw(rng.randrange(0, 9))
+            assert _resultant(a, b, p) == _sylvester_det(a, b, p), (p, a, b)
+            g = draw(rng.randrange(1, 4))  # a common factor
+            assert _resultant(_mul(a, g, p), _mul(b, g, p), p) == 0, (p, a, b, g)
+        a, c = draw(5), draw(0)
+        assert _resultant(a, c, p) == pow(c[0], 5, p)  # a constant second argument
+        assert _resultant(a, [], p) == _resultant([], a, p) == 0  # a zero one
+        small, big = draw(2), draw(7)  # deg b > deg a, both orders
+        assert _resultant(small, big, p) == _sylvester_det(small, big, p)
+        assert _resultant(big, small, p) == _sylvester_det(big, small, p)
+        if p < 8:  # f = u(X^p): f' = 0, so res(f, f') = 0
+            f = [0] * (2 * p + 1)
+            f[0], f[p], f[2 * p] = 1, 1, 1
+            assert _deriv(f, p) == [] and _resultant(f, _deriv(f, p), p) == 0
 
 
 @st.composite
