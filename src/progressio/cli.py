@@ -20,13 +20,14 @@ from .construct import (
     certificate_from_text,
     certificate_to_text,
 )
-from .dirichlet import _root_sieve, density_scan, search_constructed, search_exhaustive
+from .dirichlet import (_line_disc, _neg_inverses, _root_sieve, density_scan,
+                        search_constructed, search_exhaustive)
 from .errors import MathError, ParseError, UsageError
-from .factor import count_irreducibles, factorize, is_irreducible
+from .factor import _disc_admits, count_irreducibles, factorize, is_irreducible
 from .ff import PrimeField
 from .galois import certify_sn
 from .oracle import _monic_polys, enumerate_irreducibles, naive_factor, naive_mul
-from .poly import Poly, _resultant, parse_poly
+from .poly import Poly, _eval, _resultant, parse_poly
 
 
 def _emit(text: str, path: str | None):
@@ -163,12 +164,14 @@ def _selftest_suites(level: str):
         field = PrimeField(p)
         cert = build_stable(parse_poly(field, "X+1"), Poly.one(field), n, 0)
         bc = cert.b * cert.c
-        marked = _root_sieve(list(cert.a.coeffs), list(bc.coeffs), p)
+        marked = _root_sieve(cert.a.coeffs, _neg_inverses(bc.coeffs, p), p)
+        disc = _line_disc(p, n, cert.a.coeffs, bc.coeffs, range(1, p))
         members = [cert.a + alpha * bc for alpha in range(1, p)]
         irreducible = [is_irreducible(m) for m in members]
         return density_scan(cert, workers=1).count == sum(irreducible) and not any(
-            rooted and (irr or all(map(m, range(p))))
-            for m, irr, rooted in zip(members, irreducible, marked[1:]))
+            irr and (marked[a] or not _disc_admits(_eval(disc, a, p), n, p))
+            or marked[a] and all(map(m, range(p)))
+            for a, m, irr in zip(range(1, p), members, irreducible))
 
     cases = ((101, 7),) if level == "quick" else ((101, 7), (1009, 9))
     yield "root sieve agrees with the irreducibility test", lambda: all(

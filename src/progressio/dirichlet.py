@@ -13,22 +13,24 @@ irreducible (the n-cycle proportion), so an exhaustive scan over the
 p - 1 nonzero scales should find about p/n hits. About 1 - D_n/n! of them (D_n the
 derangements) have a root x, so are reducible (n >= 2); as alpha = -a(x)/bc(x), one
 pass over F_p marks those, a byte each, so p - 1 is capped at the exhaustive guard.
-The exhaustive scan sieves its constant digit c0 the same way, per higher digits.
-All three searches walk one kernel; the sieved two test members as rootless, which
-skips the root gcd gcd(X^p - X, f), kept only by the unsieved constructed scan.
+The exhaustive scan sieves c0 the same way, per h. On a line base + t*direction, 2n - 1
+resultants fix Disc(t), of degree <= 2n - 2, which marks about half the rest
+(``_disc_admits``). One kernel walks all three searches; the sieved two skip the test's
+resultant and root gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from functools import reduce
+from itertools import compress, islice, product
 
 from ._par import run_chunked, split_range, worker_count
 from .construct import Pencil, StableCertificate, build_stable, verify_certificate
 from .errors import PreconditionViolated, TooLarge
-from .factor import _rabin_irreducible
-from .poly import Poly, _add, _eval, _mul, _mul_scalar, format_poly
+from .factor import _disc_admits, _discriminant, _rabin_irreducible
+from .poly import Poly, _add, _divmod, _eval, _mul, _mul_scalar, format_poly
 
 _EXHAUSTIVE_GUARD = 10**7
 
@@ -93,8 +95,8 @@ def search_constructed(a: Poly, b: Poly, n: int, max_hits: int = 16) -> SearchRe
 def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     """Try every c with deg c = n - deg b; a desk-scale brute-force oracle.
 
-    With c = c0 + X*h, one root sieve of base = a + b*X*h per h marks the c0
-    whose member base + c0*b has a root; for n >= 2 those skip the test.
+    With c = c0 + X*h, the members base + c0*b of one h, base = a + b*X*h, form a line
+    that one root sieve and its discriminant sieve mark; for n >= 2 those skip the test.
     """
     Pencil(a, b)
     p = a.field.modulus
@@ -108,39 +110,64 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     # c = c0 + X*h, c0 fastest (code sum order); h: higher digits, lead last, or ().
     highs = product(range(1, p), *[range(p)] * (deg_c - 1)) if deg_c else [()]
     c0s = range(0 if deg_c else 1, p)
+    inverses = list(_neg_inverses(b_c, p)) if deg_c else _neg_inverses(b_c, p)  # reused
     hits = []
     for top in highs:
         h = top[::-1]
         base = _add(a.coeffs, [0, *_mul(b_c, h, p)], p)  # b(x) = 0: base(x) = a(x) != 0
-        marks = _root_sieve(base, b_c, p) if n >= 2 else None
+        marks = _root_sieve(base, inverses, p)[c0s.start :] if n >= 2 else None
         for c0, member in _line_scan(p, n, base, b_c, c0s, marks):
             hits.append((a._wrap([c0, *h]), a._wrap(member)))
     return _report(a, b, n, "exhaustive", hits, (p - 1) * p**deg_c)
 
 
-def _line_scan(p, n, base, direction, scales, marks=None):
-    """Yield (t, member) per unmarked t: base + t*direction, irreducible of degree n."""
-    for t in scales:
-        if marks is not None and marks[t]:  # a root sieve marks each member with a root
-            continue
+def _line_scan(p, n, base, direction, scales, marks=None, disc=None):
+    """Yield (t, member) per t: base + t*direction, irreducible of degree n."""
+    sieved = marks is not None  # marks: a root-sieve byte per scale; disc: Disc(t)
+    if sieved and disc is None and len(scales) >= 2 * n:
+        disc = _line_disc(p, n, base, direction, scales)
+    for t in compress(scales, map((0).__eq__, marks)) if sieved else scales:
         member = _add(base, _mul_scalar(direction, t, p), p)
+        if len(member) != n + 1 or sieved and not _disc_admits(
+                _eval(disc, t, p) if disc else _discriminant(member, p), n, p):
+            continue
         # Looked up per call as this module's global: tracers rebind _rabin_irreducible.
-        if len(member) == n + 1 and _rabin_irreducible(member, p, marks is not None):
+        if _rabin_irreducible(member, p, sieved):
             yield t, member
 
 
-def _root_sieve(a_coeffs, bc_coeffs, p: int) -> bytearray:
+def _line_disc(p, n, base, direction, scales):
+    # Disc(t) = disc(monic member) * lc^(2n - 2), by Lagrange through the first 2n - 1
+    # members of degree n, or None if no more (lc is affine: one t, or all, drop it).
+    nodes = [(t, m) for t in islice(scales, 2 * n + 1)
+             if len(m := _add(base, _mul_scalar(direction, t, p), p)) == n + 1]
+    if len(nodes) < 2 * n:
+        return None
+    del nodes[2 * n - 1 :]
+    line = reduce(lambda u, t: _mul(u, [-t % p, 1], p), (t for t, _ in nodes), [1])
+    disc: list[int] = []
+    for t, m in nodes:
+        q = _divmod(line, [-t % p, 1], p)[0]  # vanishes at every node but t
+        d = _discriminant(m, p) * pow(m[-1], 2 * n - 2, p)
+        disc = _add(disc, _mul_scalar(q, d * pow(_eval(q, t, p), -1, p), p), p)
+    return disc
+
+
+def _neg_inverses(bc, p: int):
+    # -1/bc(x) for x in F_p, 0 where bc(x) = 0; lazy, so a single scan holds no table.
+    return (pow(-v, -1, p) if v else 0 for v in (_eval(bc, x, p) for x in range(p)))
+
+
+def _root_sieve(a_coeffs, neg_inverses, p: int) -> bytearray:
     marked = bytearray(p)
-    for x in range(p):
-        v = _eval(bc_coeffs, x, p)
-        if v:
-            marked[-_eval(a_coeffs, x, p) * pow(v, -1, p) % p] = 1
+    for x, s in enumerate(neg_inverses):
+        if s:
+            marked[_eval(a_coeffs, x, p) * s % p] = 1
     return marked
 
 
 def _density_chunk(job):
-    p, n, base, bc_coeffs, marked = job  # base = a + lo*bc: marked[t] is scale lo + t
-    return sum(1 for _ in _line_scan(p, n, base, bc_coeffs, range(len(marked)), marked))
+    return sum(1 for _ in _line_scan(*job))  # job: (p, n, a, bc, scales, marks, disc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,10 +194,10 @@ def density_scan(cert: StableCertificate, workers: int | None = None) -> Density
     symmetric group; the ratio count/(p/n) should sit near 1, with an
     error that depends on the curve's genus and is not computed here.
 
-    Only scales the root sieve leaves unmarked are tested; ``rooted``, about
-    1 - D_n/n! of them, are reducible: their member has a root and degree
-    n >= 7 (a zero of bc is a root of none, as gcd(a, bc) = 1). p - 1 above
-    the exhaustive guard (10^7) raises ``TooLarge`` before anything is allocated.
+    Only scales neither sieve marks are tested: ``rooted``, about 1 - D_n/n!, have a
+    root and degree n >= 7 (a zero of bc is a root of none, as gcd(a, bc) = 1), and
+    about half the rest a Disc(alpha) (interpolated here, evaluated in the chunks) that
+    proves them reducible. p - 1 above the guard (10^7) raises ``TooLarge`` at once.
     """
     p = cert.field.modulus
     if p - 1 > _EXHAUSTIVE_GUARD:
@@ -180,8 +207,9 @@ def density_scan(cert: StableCertificate, workers: int | None = None) -> Density
     if workers is None:
         workers = worker_count()
     a, bc = list(cert.a.coeffs), list((cert.b * cert.c).coeffs)
-    marked = _root_sieve(a, bc, p)
-    jobs = [(p, cert.n, _add(a, _mul_scalar(bc, lo, p), p), bc, bytes(marked[lo:hi]))
+    marked = _root_sieve(a, _neg_inverses(bc, p), p)
+    disc = _line_disc(p, cert.n, a, bc, range(1, p))
+    jobs = [(p, cert.n, a, bc, range(lo, hi), bytes(marked[lo:hi]), disc)
             for lo, hi in split_range(1, p, workers * 8)]
     count = sum(run_chunked(_density_chunk, jobs, workers))
     expected = Fraction(p, cert.n)

@@ -1,19 +1,21 @@
 """Irreducibility testing and complete factorization over prime fields.
 
-Both use Berlekamp's Q-matrix, the rows X^(i*p) mod f built from X^p mod f and
-applied as poly's ``_linear_map``, so no exponent grows with p^d. Below p = 8
+Both use Berlekamp's Q-matrix, the rows X^(i*p) mod f built from X^p mod f and applied
+as poly's ``_linear_map``, so no exponent grows with p^d. Below p = 8
 (``_SHIFT_SWITCH``), X^p and each row X^p * row_(i-1) take p multiply-by-X steps of
 O(deg f) (CPython 3.11, deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at
-p = 11, 13); from 8 on, a row is a mulmod, and X^p a squaring per bit of p plus a
-shift per 1 bit. Below the size switch (degree <= 8) the test is Berlekamp's count after
-a discriminant check: the nullity of Q - I is the number of distinct irreducible factors
-r (Berlekamp 1970), and for odd p disc f has the character (-1)^(n-r) (Swan 1962).
-Factorization runs Ben-Or's distinct-degree loop at every degree, and the test runs
-it from the switch on: for d = 1, 2, ... while 2d <= deg(rest), gcd(X^(p^d) - X,
-rest) is the product of the degree-d irreducible factors, and what is left at the
-end is irreducible; the test stops at the first nontrivial gcd. Degrees d > 1 come
-in blocks [d, 2d) (Shoup 1995): one gcd with the product of the X^(p^e) - X over a
-block, and one per degree only when that gcd is nontrivial.
+p = 11, 13); from 8 on, a row is a mulmod (below the size switch, the linear map
+g -> X^p * g, whose rows come by shift steps), and X^p is a squaring per bit of p plus a
+shift per 1 bit from X^(p >> s), p >> s < deg f. The test starts with disc f: 0 is a
+repeated factor, and for odd p its character is (-1)^(n-r), r the number of distinct
+irreducible factors (Swan 1962). Below the size switch (degree <= 8) Berlekamp's count
+follows: the nullity of Q - I is r (Berlekamp 1970). Factorization runs Ben-Or's
+distinct-degree loop at every degree, and the test runs it from the switch on: for
+d = 1, 2, ... while 2d <= deg(rest), gcd(X^(p^d) - X, rest) is the product of the
+degree-d irreducible factors, and what is left at the end is irreducible; the test stops
+at the first nontrivial gcd. Degrees d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd
+with the product of the X^(p^e) - X over a block, and one per degree only when that gcd
+is nontrivial.
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
@@ -48,7 +50,6 @@ from .poly import (
     _gcd,
     _linear_map,
     _monic,
-    _mul,
     _pow_mod,
     _reducer,
     _resultant,
@@ -92,22 +93,29 @@ def count_irreducibles(p: int, n: int) -> int:
 # Irreducibility.
 
 
-def _times_xp(g: list[int], f: list[int], rem, p: int, xp=None) -> list[int]:
-    # X^p * g mod f, f monic, g reduced; xp = X^p mod f is computed when not given.
+def _times_xp(g: list[int], f: list[int], rem, p: int) -> list[int]:
+    # X^p * g mod f, f monic, g reduced; from p = 8 on, X^p from X^(p >> s), deg < n.
     if p < _SHIFT_SWITCH:
         return _times_x(g, f, p, p)
-    if xp is None:
-        xp = _times_x([1], f, p)
-        for bit in bin(p)[3:]:
-            xp = _times_x(rem(_mul(xp, xp, p)), f, p, int(bit))
-    return rem(_mul(g, xp, p))
+    s = next(s for s in range(p.bit_length() + 1) if p >> s < len(f) - 1)
+    xp = [0] * (p >> s) + [1]
+    for i in range(s - 1, -1, -1):
+        xp = _times_x(rem(xp, xp), f, p, p >> i & 1)
+    return rem(g, xp)
 
 
 def _frobenius_rows(xp: list[int], f: list[int], rem, p: int) -> list[list[int]]:
-    # Rows X^(i*p) mod f for i < deg f, each X^p times the one before.
+    # Rows X^(i*p) mod f for i < deg f, each X^p times the one before: p shift steps
+    # below p = 8, else a mulmod or, below the size switch, the map g -> X^p * g.
+    step = lambda g: _times_x(g, f, p, p) if p < _SHIFT_SWITCH else rem(g, xp)
+    if p >= _SHIFT_SWITCH and len(f) <= _SIZE_SWITCH:
+        cols = [xp]
+        for _ in range(len(f) - 2):
+            cols.append(_times_x(cols[-1], f, p))
+        step = _linear_map(cols, p)
     rows = [[1]]
     for _ in range(len(f) - 2):
-        rows.append(_times_xp(rows[-1], f, rem, p, xp))
+        rows.append(step(rows[-1]))
     return rows
 
 
@@ -131,7 +139,7 @@ def _ben_or(f: list[int], p: int):
             hs.append(_sub(h, [0, 1], p))
         block = rest
         if top > d:
-            block = _gcd(reduce(lambda u, v: rem(_mul(u, v, p)), hs), rest, p)
+            block = _gcd(reduce(rem, hs), rest, p)
         size = len(rest)
         for e, he in zip(range(d, top + 1), hs):
             if len(block) == 1 or 2 * e >= len(rest):
@@ -151,26 +159,33 @@ def _ben_or(f: list[int], p: int):
         yield rest, len(rest) - 1, rows
 
 
-def _rabin_irreducible(coeffs, p: int, rootless: bool = False) -> bool:
+def _discriminant(f: list[int], p: int) -> int:
+    f, n = _monic(f, p), len(f) - 1  # disc of monic f: (-1)^(n(n-1)/2) res(f, f')
+    return (-1) ** (n * (n - 1) // 2) * _resultant(f, _deriv(f, p), p) % p
+
+
+def _disc_admits(d: int, n: int, p: int) -> bool:
+    # d = disc f times a square; d = 0, or p odd and χ(d) != (-1)^(n-1): f is reducible
+    return d != 0 and (p == 2 or pow(d, (p - 1) // 2, p) == (-1) ** (n - 1) % p)
+
+
+def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
     """Irreducibility test; coefficients normalized, degree n >= 1.
 
-    Below the size switch, in order: False if disc f = 0 or (odd p) its character is not
-    (-1)^(n-1); unless ``rootless`` (the caller has proved that f has no root), False if
-    gcd(X^p - X, f) != 1; then True iff rows 1..n-1 of Q - I are independent (row 0 is
-    zero), f being squarefree. The count alone is exact, so ``rootless`` changes the
-    cost, never the answer. From the switch on, Ben-Or: True iff gcd(X^(p^d) - X, f) = 1
-    for every d <= n/2.
+    Unless ``sieved`` (the caller proved f rootless and passing this check): False if
+    disc f fails ``_disc_admits``, or below the size switch if gcd(X^p - X, f) != 1.
+    Then below the switch True iff rows 1..n-1 of Q - I (row 0 is zero) are independent,
+    exact for squarefree f; from it on, Ben-Or: all gcd(X^(p^d) - X, f) = 1, d <= n/2.
     """
     f = _monic(coeffs, p)
     n = len(f) - 1
+    if not sieved and not _disc_admits(_discriminant(f, p), n, p):
+        return False
     if n >= _SIZE_SWITCH:
         return next(_ben_or(f, p))[1] == n
-    d = (-1) ** (n * (n - 1) // 2) * _resultant(f, _deriv(f, p), p)  # disc f, f monic
-    if not d or p > 2 and pow(d, (p - 1) // 2, p) != (-1) ** (n - 1) % p:
-        return False  # a repeated factor, or disc f has the character (-1)^(n-r), r > 1
     rem = _reducer(f, p) if p >= _SHIFT_SWITCH else None  # shift steps need none
     xp = _times_xp([1], f, rem, p)
-    if not rootless and n > 1 and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
+    if not sieved and n > 1 and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
         return False  # a root; a linear f is its own root factor, hence n > 1
     m = [r + [0] * (n - len(r)) for r in _frobenius_rows(xp, f, rem, p)[:0:-1]]
     for i, r in enumerate(m):  # Q - I, rows n-1..1, unreduced; popped from row 1 on
@@ -264,7 +279,7 @@ def _equal_degree(f: list[int], d: int, p: int, rng: random.Random, rows: list) 
             w = acc = t
             for _ in range(d - 1):
                 acc = frob(acc)
-                w = _add(w, acc, p) if p == 2 else rem(_mul(w, acc, p))
+                w = _add(w, acc, p) if p == 2 else rem(w, acc)
             if p != 2:
                 w = _sub(_pow_mod(w, (p - 1) // 2, rem, p), [1], p)
             cand = _gcd(w, g, p)

@@ -12,11 +12,12 @@ underscore-prefixed kernels, Euclid's ``_resultant`` among them, work on raw coe
 lists and carry the performance-sensitive inner loops.
 
 Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
-Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a,
-len b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
-(v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius and, for f of
-degree 6 to 8, ``_reducer`` (rows X^i mod f, i < 2n − 1); from the size switch on
-``_reducer`` uses the Newton inverse of reversed f (ibid., 9.1).
+Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a, len
+b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
+(v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius. ``_reducer``
+gives a -> a mod f and a, b -> a·b mod f; for f of degree 6 to 8 either is one packed
+pass whose high slots meet the rows X^(n+i) mod f, i < n − 1, and from the size switch
+on it uses the Newton inverse of reversed f (ibid., 9.1).
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -38,8 +39,8 @@ from .ff import FieldElem, PrimeField
 
 ZERO_DEGREE = float("-inf")
 
-# Modulus degree from which _reducer takes the Newton inverse, not the packed remainder
-# table, and factor's irreducibility test runs Ben-Or, not Berlekamp's count.
+# Modulus degree from which _reducer takes the Newton inverse, not the packed pass, and
+# factor's irreducibility test runs Ben-Or, not Berlekamp's count.
 _SIZE_SWITCH = 9
 
 _BYTE_ORDER = sys.byteorder
@@ -162,33 +163,38 @@ def _linear_map(rows: Sequence[Sequence[int]], p: int):
 
 
 def _reducer(f: Sequence[int], p: int):
-    # a -> a mod f. If n < len a < 2n: from the switch on, the inverse of reversed f;
-    # for 6 <= n below it, the linear map of X^i mod f, i < 2n - 1 (1.3-2.2x division).
+    # a -> a mod f, a, b -> a*b mod f. If n < len a < 2n: from the switch on, the
+    # inverse of reversed f; for 6 <= n below it, one packed pass (1.3-2.2x division).
     f = _monic(f, p)
     n = len(f) - 1
-    table = None
-    inv = [1]
-    prec = 1
+    k = _slot_bytes(2 * n - 1, p)
+    ints = None
+    inv, prec = [1], 1
     while n >= _SIZE_SWITCH and prec < n - 1:
         prec = min(2 * prec, n - 1)
         err = _mul(_mul(inv, inv, p), f[: n - prec : -1], p)[:prec]
         inv = _sub(_mul_scalar(inv, 2, p), err, p)
 
-    def rem(a: Sequence[int]) -> list[int]:
-        nonlocal table
+    def rem(a: Sequence[int], b: Sequence[int] | None = None) -> list[int]:
+        nonlocal ints
+        if b is not None and not (6 <= n < _SIZE_SWITCH and max(len(a), len(b)) <= n):
+            a, b = _mul(a, b, p), None
         m = len(a) - n
-        if n < 6 or not 0 < m < n:
+        if b is None and (n < 6 or not 0 < m < n):
             return _divmod(a, f, p)[1]
         if n >= _SIZE_SWITCH:
             q_rev = _mul(a[: n - 1 : -1], inv[:m], p)[:m]
             q = [0] * (m - len(q_rev)) + q_rev[::-1]
             return _sub(a[:n], _mul(q, f, p)[:n], p)
-        if table is None:
-            rows = [[0] * i + [1] for i in range(n)]
+        if ints is None:
+            rows = [[0] * (n - 1) + [1]]
             for _ in range(n - 1):
                 rows.append(_times_x(rows[-1], f, p))
-            table = _linear_map(rows, p)
-        return table(a)
+            ints = [_pack(r, k) for r in rows[1:]]
+        z = (x := _pack(a, k)) * (1 if b is None else x if b is a else _pack(b, k))
+        high, low = divmod(z, 1 << 8 * k * n)  # slots n.. and 0..n-1
+        high = _unpack(high, k, n - 1, p)
+        return _trim(_unpack(sum(map(mul, high, ints), low), k, n, p))
 
     return rem
 
@@ -236,10 +242,10 @@ def _pow_mod(base: Sequence[int], k: int, rem, p: int) -> list[int]:
     acc = rem(base)
     while k:
         if k & 1:
-            result = rem(_mul(result, acc, p))
+            result = rem(result, acc)
         k >>= 1
         if k:
-            acc = rem(_mul(acc, acc, p))
+            acc = rem(acc, acc)
     return result
 
 
@@ -248,9 +254,7 @@ def _compose_mod(outer, inner, modulus, p):
     rem = _reducer(modulus, p)
     result: list[int] = []
     for coeff in reversed(list(outer)):
-        result = rem(_mul(result, inner, p))
-        if coeff:
-            result = _add(result, [coeff], p)
+        result = _add(rem(result, inner), [coeff], p)
     return result
 
 

@@ -19,9 +19,10 @@ from progressio import (
     search_exhaustive,
 )
 import progressio.dirichlet as dirichlet
-from progressio.dirichlet import SearchReport, _root_sieve
+from progressio.dirichlet import SearchReport, _neg_inverses, _root_sieve
 from progressio.errors import PreconditionViolated, TooLarge
-from progressio.poly import Poly, _add, _eval, _mul, _mul_scalar
+from progressio.factor import _discriminant
+from progressio.poly import Poly, _add, _eval, _monic, _mul, _mul_scalar, _resultant
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -117,28 +118,46 @@ def test_search_constructed_matches_the_plain_loop(p, n, max_hits):
 
 def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
     # The flag follows from whether the caller sieved; the kernel looks the test
-    # up as dirichlet's global, so rebinding that alias sees every member.
-    flags = []
+    # up as dirichlet's global, so rebinding that alias sees every member. A sieved
+    # scan tests exactly its members with no root whose discriminant is nonzero and,
+    # for odd p, of character (-1)^(n-1); the oracle for both is brute force.
+    calls = []
     test = dirichlet._rabin_irreducible
 
-    def recorded(f, p, rootless):
-        flags.append(rootless)
-        return test(f, p, rootless)
+    def recorded(f, p, sieved):
+        calls.append((tuple(f), sieved))
+        return test(f, p, sieved)
 
     monkeypatch.setattr(dirichlet, "_rabin_irreducible", recorded)
 
     def flags_of(search, *args, **kwargs):
-        flags.clear()
+        calls.clear()
         search(*args, **kwargs)
-        assert flags
-        return set(flags)
+        assert calls
+        return {sieved for _, sieved in calls}
+
+    def admitted(f, p):
+        n = len(f) - 1
+        if any(_eval(f, x, p) == 0 for x in range(p)):
+            return False
+        g = Poly(PrimeField(p), f).monic()
+        d = (-1) ** (n * (n - 1) // 2) * _resultant(g.coeffs, g.derivative().coeffs, p) % p
+        return d != 0 and (p == 2 or pow(d, (p - 1) // 2, p) == (-1) ** (n - 1) % p)
 
     field = PrimeField(101)
     a, b = parse_poly(field, "X+1"), Poly.one(field)
     cert = build_stable(a, b, 7, seed=0)
     assert flags_of(density_scan, cert, workers=1) == {True}
-    for n in (2, 5):
-        assert flags_of(search_exhaustive, parse_poly(F3, "X+1"), Poly.one(F3), n) == {True}
+    bc = cert.b * cert.c
+    members = [(cert.a + alpha * bc).coeffs for alpha in range(1, 101)]
+    assert [f for f, _ in calls] == [f for f in members if admitted(f, 101)]
+    # b = 1 and n >= 2: c -> X + 1 + c meets every polynomial of degree n once.
+    for p, n in ((2, 4), (2, 6), (3, 2), (3, 5), (5, 2), (5, 4), (7, 3)):
+        F = PrimeField(p)
+        assert flags_of(search_exhaustive, parse_poly(F, "X+1"), Poly.one(F), n) == {True}
+        polys = [(*c, lead) for lead in range(1, p)
+                 for c in itertools.product(range(p), repeat=n)]
+        assert sorted(f for f, _ in calls) == sorted(f for f in polys if admitted(f, p))
     # n = 1 is not sieved: every linear member is rooted.
     assert flags_of(search_exhaustive, parse_poly(F5, "X+3"), Poly.one(F5), 1) == {False}
     assert flags_of(search_constructed, a, b, 7, max_hits=3) == {False}
@@ -146,8 +165,9 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
 
 def test_sieved_members_skip_the_root_gcd(monkeypatch):
     # Below the size switch a sieved member costs one resultant, res(f, f'), and no
-    # gcd at all: the sieve stands in for the root gcd, and res(f, f') != 0 proves f
-    # squarefree.
+    # gcd at all: the root sieve stands in for the root gcd, and res(f, f') != 0
+    # proves f squarefree. On lines of p = 3 points the discriminant sieve makes
+    # that resultant per member, so the test itself makes none.
     import progressio.factor as fmod
 
     gcds, resultants = [], []
@@ -328,12 +348,39 @@ def test_root_sieve_marks_exactly_the_rooted_members(p):
         if not gcd(Poly(field, a), Poly(field, bc)).is_one():
             continue
         done += 1
-        marked = _root_sieve(a, bc, p)
+        marked = _root_sieve(a, _neg_inverses(bc, p), p)
         assert len(marked) == p
         for alpha in range(p):
             member = _add(a, _mul_scalar(bc, alpha, p), p)
             has_root = any(_eval(member, x, p) == 0 for x in range(p))
             assert marked[alpha] == has_root, (a, bc, alpha)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 10007])
+def test_line_disc_is_each_members_discriminant(p):
+    # Disc(t) = disc(monic member) * lc^(2n - 2) at every scale where the member has
+    # degree n; _line_disc interpolates it when more than 2n - 1 scales do, else it
+    # returns None. The leading coefficient vanishes at t = 0 (deg base < n), at one
+    # t != 0 (deg base = deg direction = n) or nowhere (deg direction < n); n = p
+    # makes p | n, and short lines hold fewer than 2n - 1 scales.
+    rng = random.Random(p)
+    for n in sorted({1, 2, 3, 5, 8, 9, 12} | ({p} if p <= 13 else set())):
+        for base_deg, dir_deg in ((n - 1, n), (n, n), (n, n - 1)):
+            base = [rng.randrange(p) for _ in range(base_deg)] + [rng.randrange(1, p)]
+            direction = [rng.randrange(p) for _ in range(dir_deg)] + [rng.randrange(1, p)]
+            line = range(p) if p < 1000 else range(p - 64, p)
+            for scales in (line, range(1, min(p, 2 * n - 1))):
+                disc = dirichlet._line_disc(p, n, base, direction, scales)
+                members = {t: _add(base, _mul_scalar(direction, t, p), p) for t in scales}
+                full = [t for t, m in members.items() if len(m) == n + 1]
+                assert (disc is None) == (len(full) <= 2 * n - 1), (p, n, scales)
+                if disc is None:
+                    continue
+                assert len(disc) <= 2 * n - 1
+                for t in full:
+                    m = members[t]
+                    d = _discriminant(_monic(m, p), p) * pow(m[-1], 2 * n - 2, p) % p
+                    assert _eval(disc, t, p) == d, (p, n, base, direction, t)
 
 
 @pytest.mark.parametrize("p, a, b, n", [

@@ -27,11 +27,13 @@ from progressio.poly import (
     Poly,
     _compose_mod,
     _deriv,
+    _divmod,
     _linear_map,
     _mul,
     _reducer,
     _resultant,
     _slot_bytes,
+    _trim,
 )
 
 F2 = PrimeField(2)
@@ -270,10 +272,28 @@ def test_remainder_table_matches_long_division():
                         assert Poly(field, rem(a)) == want, (p, f, length)
 
 
+def test_packed_product_matches_long_division():
+    # rem(x, y) = x*y mod f for f of degree 1..12: one packed pass for 6 <= n below
+    # the switch, a product and then a remainder elsewhere or for an unreduced
+    # operand. Operands of all p - 1 fill each slot to its bound (2n - 1)(p - 1)^2.
+    rng = random.Random(67)
+    for p in (2, 3, 11, 10007, (1 << 61) - 1):
+        for n in range(1, 13):
+            for f in ([rng.randrange(p) for _ in range(n)] + [1], [p - 1] * (n + 1)):
+                rem = _reducer(f, p)
+                x = _trim([rng.randrange(p) for _ in range(n)])
+                y = _trim([rng.randrange(p) for _ in range(rng.randrange(n + 1))])
+                top = [p - 1] * n
+                wide = [rng.randrange(p) for _ in range(2 * n)] + [1]
+                for a, b in ((x, y), (x, x), (top, top), (top, list(top)), (x, []),
+                             ([], y), ([1], x), (wide, x)):
+                    want = _divmod(_mul(a, b, p), f, p)[1]
+                    assert rem(a, b) == want, (p, n, a, b)
+
+
 def test_remainder_table_for_any_lead_and_only_when_used(monkeypatch):
     # The table is built on the first input with 8 < len a < 16: the 7 rows
-    # X^8..X^14 mod f by shift steps, for a monic and a non-monic f alike, and
-    # the identity rows X^0..X^7 without one.
+    # X^8..X^14 mod f by shift steps, for a monic and a non-monic f alike.
     import progressio.poly as pmod
 
     built = []
