@@ -328,10 +328,12 @@ def certificate_from_text(text: str) -> StableCertificate:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition(":")
+        key, sep, value = (part.strip() for part in line.partition(":"))
         if not sep:
             raise ParseError(f"bad certificate line {line!r}")
-        entries[key.strip()] = value.strip()
+        if key in entries:
+            raise ParseError(f"certificate repeats key {key!r}")
+        entries[key] = value
     missing = [k for k in _CERT_KEYS if k not in entries]
     if missing:
         raise ParseError(f"certificate is missing keys: {missing}")

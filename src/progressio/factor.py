@@ -1,21 +1,22 @@
 """Irreducibility testing and complete factorization over prime fields.
 
-Both use Berlekamp's Q-matrix, the rows X^(i*p) mod f built from X^p mod f and applied
-as poly's ``_linear_map``, so no exponent grows with p^d. Below p = 8
-(``_SHIFT_SWITCH``), X^p and each row X^p * row_(i-1) take p multiply-by-X steps of
-O(deg f) (CPython 3.11, deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at
-p = 11, 13); from 8 on, a row is a mulmod (below the size switch, the linear map
-g -> X^p * g, whose rows come by shift steps), and X^p is a squaring per bit of p plus a
-shift per 1 bit from X^(p >> s), p >> s < deg f. The test starts with disc f: 0 is a
-repeated factor, and for odd p its character is (-1)^(n-r), r the number of distinct
-irreducible factors (Swan 1962). Below the size switch (degree <= 8) Berlekamp's count
-follows: the nullity of Q - I is r (Berlekamp 1970). Factorization runs Ben-Or's
-distinct-degree loop at every degree, and the test runs it from the switch on: for
-d = 1, 2, ... while 2d <= deg(rest), gcd(X^(p^d) - X, rest) is the product of the
-degree-d irreducible factors, and what is left at the end is irreducible; the test stops
-at the first nontrivial gcd. Degrees d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd
-with the product of the X^(p^e) - X over a block, and one per degree only when that gcd
-is nontrivial.
+Both read the Frobenius off X^p mod f: the rows X^(i*p) mod f, applied as poly's
+``_linear_map``, so no exponent grows with p^d. Below p = 8 (``_SHIFT_SWITCH``), X^p
+and each row X^p * row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11,
+deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on, a
+row is a mulmod (below the size switch, the linear map g -> X^p * g, whose rows come by
+shift steps), and X^p is a squaring per bit of p plus a shift per 1 bit from
+X^(p >> s), p >> s < deg f. The test starts with disc f: 0 is a repeated factor, and for
+odd p its character is (-1)^(n-r), r the number of distinct irreducible factors (Swan
+1962). So an admitted f that is reducible has r >= 3 and a factor of degree <= n/3;
+below the size switch (degree <= 8) that is a root or a quadratic factor, so the test
+takes gcd(X^p - X, f), and from degree 6 on gcd(X^(p^2) - X, f). Factorization runs
+Ben-Or's distinct-degree loop at every degree, and the test runs it from the switch on
+and at p = 2, which has no parity: for d = 1, 2, ... while 2d <= deg(rest),
+gcd(X^(p^d) - X, rest) is the product of the degree-d irreducible factors, and what is
+left at the end is irreducible; the test stops at the first nontrivial gcd. Degrees
+d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd with the product of the
+X^(p^e) - X over a block, and one per degree only when that gcd is nontrivial.
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
@@ -93,15 +94,15 @@ def count_irreducibles(p: int, n: int) -> int:
 # Irreducibility.
 
 
-def _times_xp(g: list[int], f: list[int], rem, p: int) -> list[int]:
-    # X^p * g mod f, f monic, g reduced; from p = 8 on, X^p from X^(p >> s), deg < n.
+def _xp(f: list[int], rem, p: int) -> list[int]:
+    # X^p mod f, f monic; from p = 8 on, from X^(p >> s), deg < n.
     if p < _SHIFT_SWITCH:
-        return _times_x(g, f, p, p)
+        return _times_x([1], f, p, p)
     s = next(s for s in range(p.bit_length() + 1) if p >> s < len(f) - 1)
     xp = [0] * (p >> s) + [1]
     for i in range(s - 1, -1, -1):
         xp = _times_x(rem(xp, xp), f, p, p >> i & 1)
-    return rem(g, xp)
+    return xp
 
 
 def _frobenius_rows(xp: list[int], f: list[int], rem, p: int) -> list[list[int]]:
@@ -135,7 +136,7 @@ def _ben_or(f: list[int], p: int):
         top = min(2 * d - 1, (len(rest) - 1) // 2)
         hs = []
         for e in range(d, top + 1):
-            h = frob(h) if e > 1 else _times_xp([1], rest, rem, p)
+            h = frob(h) if e > 1 else _xp(rest, rem, p)
             hs.append(_sub(h, [0, 1], p))
         block = rest
         if top > d:
@@ -173,36 +174,27 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
     """Irreducibility test; coefficients normalized, degree n >= 1.
 
     Unless ``sieved`` (the caller proved f rootless and passing this check): False if
-    disc f fails ``_disc_admits``, or below the size switch if gcd(X^p - X, f) != 1.
-    Then below the switch True iff rows 1..n-1 of Q - I (row 0 is zero) are independent,
-    exact for squarefree f; from it on, Ben-Or: all gcd(X^(p^d) - X, f) = 1, d <= n/2.
+    disc f fails ``_disc_admits``. From the size switch on, and at p = 2, Ben-Or: all
+    gcd(X^(p^d) - X, f) = 1, d <= n/2. Below it, for odd p, f is squarefree with an odd
+    number r of factors: unless ``sieved``, False if gcd(X^p - X, f) != 1; then True for
+    n <= 5 (r >= 3 factors of degree >= 2 need n >= 6), else iff gcd(X^(p^2) - X, f) = 1.
     """
     f = _monic(coeffs, p)
     n = len(f) - 1
     if not sieved and not _disc_admits(_discriminant(f, p), n, p):
         return False
-    if n >= _SIZE_SWITCH:
+    if n >= _SIZE_SWITCH or p == 2:
         return next(_ben_or(f, p))[1] == n
     rem = _reducer(f, p) if p >= _SHIFT_SWITCH else None  # shift steps need none
-    xp = _times_xp([1], f, rem, p)
+    xp = _xp(f, rem, p)
     if not sieved and n > 1 and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
         return False  # a root; a linear f is its own root factor, hence n > 1
-    m = [r + [0] * (n - len(r)) for r in _frobenius_rows(xp, f, rem, p)[:0:-1]]
-    for i, r in enumerate(m):  # Q - I, rows n-1..1, unreduced; popped from row 1 on
-        r[n - 1 - i] -= 1
-    while m:  # clear the first nonzero column of the next row from the rows after it
-        r = m.pop()
-        for c, x in enumerate(r):
-            if x % p:
-                break
-        else:
-            return False  # a dependent row: at least two distinct irreducible factors
-        inv = pow(r.pop(c), -1, p)
-        for j, s in enumerate(m):
-            t = s.pop(c) * inv % p
-            if t:
-                m[j] = [a - t * b for a, b in zip(s, r)]
-    return True
+    if n < 6:
+        return True
+    # X^(p^2): p^2 - p shift steps below p = 8, else X^p composed with itself.
+    xq = (_times_x(xp, f, p, p * p - p) if p < _SHIFT_SWITCH
+          else _linear_map(_frobenius_rows(xp, f, rem, p), p)(xp))
+    return len(_gcd(_sub(xq, [0, 1], p), f, p)) == 1
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -40,7 +40,7 @@ from .ff import FieldElem, PrimeField
 ZERO_DEGREE = float("-inf")
 
 # Modulus degree from which _reducer takes the Newton inverse, not the packed pass, and
-# factor's irreducibility test runs Ben-Or, not Berlekamp's count.
+# factor's irreducibility test runs Ben-Or, not its root and quadratic-factor gcds.
 _SIZE_SWITCH = 9
 
 _BYTE_ORDER = sys.byteorder

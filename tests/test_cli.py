@@ -60,6 +60,16 @@ def test_certify_rejects_out_of_range_exponent(tmp_path, capsys, e):
     assert "degree/exponent" in err and "witness1-identity" in err
 
 
+def test_certify_refuses_a_repeated_key(tmp_path, capsys):
+    # A second "e:" line is a malformed file, not a value that replaces the first.
+    cert_file = tmp_path / "cert.txt"
+    run(["construct", "-p", "7", "-a", "X+1", "-b", "1", "-n", "9",
+         "-o", str(cert_file)])
+    cert_file.write_text(cert_file.read_text() + "e: 999\n")
+    assert run(["certify", "--cert", str(cert_file)]) == 2
+    assert "repeats key 'e'" in capsys.readouterr().err
+
+
 def test_factor_rejects_huge_exponent(capsys):
     # "X^1000000000" would be a dense list of 10^9 + 1 coefficients.
     start = time.perf_counter()

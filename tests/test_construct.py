@@ -374,6 +374,27 @@ def _tampered_text(draw):
     return cert, "\n".join(lines) + "\n"
 
 
+@st.composite
+def _repeated_key_text(draw):
+    """A valid certificate's text with one of its lines, or a variant of it, added."""
+    lines = certificate_to_text(draw(st.sampled_from(_FUZZ_CERTS))).splitlines()
+    key, old = draw(st.sampled_from(lines)).split(": ")
+    new = draw(st.just(old) | _INTS.map(str))
+    lines.insert(draw(st.integers(0, len(lines))), f"{key}: {new}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_repeated_key_text())
+def test_repeated_certificate_key_is_refused(text):
+    # A repeated key is refused whatever either value is, so no later line can
+    # overwrite the value the verifier would check.
+    from progressio.errors import ParseError
+
+    with pytest.raises(ParseError, match="repeats key"):
+        certificate_from_text(text)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_tampered_text())
 def test_tampered_certificate_text_is_refused(case):

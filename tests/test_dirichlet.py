@@ -15,6 +15,7 @@ from progressio import (
     gcd,
     is_irreducible,
     parse_poly,
+    pow_mod,
     search_constructed,
     search_exhaustive,
 )
@@ -165,19 +166,24 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
 
 def test_sieved_members_skip_the_root_gcd(monkeypatch):
     # Below the size switch a sieved member costs one resultant, res(f, f'), and no
-    # gcd at all: the root sieve stands in for the root gcd, and res(f, f') != 0
-    # proves f squarefree. On lines of p = 3 points the discriminant sieve makes
-    # that resultant per member, so the test itself makes none.
+    # root gcd: the root sieve stands in for it, and res(f, f') != 0 proves f
+    # squarefree. On lines of p = 3 points the discriminant sieve makes that
+    # resultant per member, so the test itself makes none. From degree 6 on its one
+    # gcd is with X^(p^2) - X.
     import progressio.factor as fmod
 
     gcds, resultants = [], []
     gcd_, resultant_ = fmod._gcd, fmod._resultant
 
+    def recorded_gcd(a, b, p):
+        gcds.append((tuple(a), tuple(b)))
+        return gcd_(a, b, p)
+
     def resultant(f, g, p):
         resultants.append(tuple(f))
         return resultant_(f, g, p)
 
-    monkeypatch.setattr(fmod, "_gcd", lambda *args: gcds.append(1) or gcd_(*args))
+    monkeypatch.setattr(fmod, "_gcd", recorded_gcd)
     monkeypatch.setattr(fmod, "_resultant", resultant)
     p, n = 3, 6
     report = search_exhaustive(parse_poly(F3, "X+1"), Poly.one(F3), n)
@@ -186,8 +192,12 @@ def test_sieved_members_skip_the_root_gcd(monkeypatch):
     members = [Poly(F3, [*c, lead]) for lead in (1, 2)
                for c in itertools.product(range(p), repeat=n)]
     tested = [m for m in members if all(_eval(m.coeffs, x, p) for x in range(p))]
-    assert gcds == []
     assert sorted(resultants) == sorted(m.monic().coeffs for m in tested)
+    x = Poly.x(F3)
+    admitted = [m.monic() for m in tested
+                if fmod._disc_admits(fmod._discriminant(m.coeffs, p), n, p)]
+    assert sorted(gcds) == sorted(
+        ((pow_mod(x, p * p, m) - x).coeffs, m.coeffs) for m in admitted)
 
 
 def test_search_constructed_noncoprime_rejected():

@@ -9,13 +9,12 @@ from progressio import (
     factorize,
     gcd,
     is_irreducible,
-    is_separable,
     naive_factor,
     parse_poly,
     pow_mod,
 )
 from progressio.errors import ConstantPolynomial, ZeroPolynomial
-from progressio.factor import _ben_or, _rabin_irreducible
+from progressio.factor import _ben_or, _disc_admits, _discriminant, _rabin_irreducible
 from progressio.oracle import _monic_polys
 from progressio.poly import Poly, _deriv, _mul, _resultant
 
@@ -33,6 +32,15 @@ def all_polys(field, max_deg):
             rest, digit = divmod(rest, p)
             coeffs.append(digit)
         yield Poly(field, coeffs)
+
+
+def _sieve_passes(f, p):
+    # The sieved entry's contract: f rootless, squarefree and, for odd p, of
+    # discriminant character (-1)^(n-1).
+    g = Poly(PrimeField(p), f)
+    x = Poly.x(g.field)
+    return gcd(pow_mod(x, p, g) - x, g).is_one() and _disc_admits(
+        _discriminant(f, p), len(f) - 1, p)
 
 
 def test_is_irreducible_examples():
@@ -58,18 +66,47 @@ def test_is_irreducible_rejects_constants():
 
 
 def test_is_irreducible_against_enumeration():
-    # Every monic f: Berlekamp's count below the size switch (degree <= 8) against
-    # the oracle's sieve, and the sieved entry against the plain one on every
-    # squarefree f, rooted f and f of either discriminant character too.
-    for p, top in ((2, 8), (3, 6), (5, 6), (7, 5)):
+    # Every monic f below the size switch (degree <= 8) against the oracle's sieve,
+    # and the sieved entry on every f the sieve passes. For odd p such an f of
+    # degree 6 to 8 that is reducible has three factors, a quadratic among them,
+    # which only gcd(X^(p^2) - X, f) catches; every grid reaching degree 6 has some.
+    for p, top in ((2, 8), (3, 8), (5, 6), (7, 5)):
         field = PrimeField(p)
+        sieved_reducible = 0
         for n in range(1, top + 1):
             expected = set(enumerate_irreducibles(p, n))
             for f in _monic_polys(field, n):
                 got = is_irreducible(f)
                 assert got == (f in expected), f
-                if is_separable(f):
+                if _sieve_passes(list(f.coeffs), p):
                     assert _rabin_irreducible(list(f.coeffs), p, True) == got, f
+                    sieved_reducible += not got
+        assert sieved_reducible > 0 or top < 6, p
+
+
+@pytest.mark.parametrize("p", [3, 11, 10007, (1 << 61) - 1])
+def test_three_factors_without_a_root_are_refused(p):
+    # Squarefree products of three irreducibles, a quadratic among them and none
+    # linear: the discriminant admits them (r = 3 is odd) and no root shows, so only
+    # the gcd with X^(p^2) - X refuses them, at either entry; sympy agrees.
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(p)
+    field = PrimeField(p)
+    for shape in ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3)):
+        for _ in range(3):
+            factors = []
+            while len(factors) < 3:
+                g = _random_irreducible(rng, field, shape[len(factors)])
+                if g not in factors:
+                    factors.append(g)
+            f = factors[0] * factors[1] * factors[2]
+            coeffs = list(f.coeffs)
+            assert _sieve_passes(coeffs, p), (p, shape, f)
+            assert not is_irreducible(f)
+            assert not _rabin_irreducible(coeffs, p, True)
+            assert not gt.gf_irreducible_p(coeffs[::-1], p, ZZ)
 
 
 def test_discriminant_character_counts_the_factors():
@@ -278,7 +315,7 @@ def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
         routes = []
         for switch in (p + 1, p):  # shift steps, then mulmods
             monkeypatch.setattr(fmod, "_SHIFT_SWITCH", switch)
-            xp = fmod._times_xp([1], f, rem, p)
+            xp = fmod._xp(f, rem, p)
             routes.append((xp, fmod._frobenius_rows(xp, f, rem, p)))
         assert routes[0] == routes[1]
         xp, rows = routes[0]
@@ -290,14 +327,15 @@ def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
 
 
 def test_shift_route_builds_no_remainder_map(monkeypatch):
-    # Below p = 8 and the size switch, X^p and the rows go by shift steps, so the
-    # test builds no _reducer: every monic f of degree <= 5 at p = 2, 3, 5, 7, and
+    # At odd p below 8 and the size switch, X^p and X^(p^2) go by shift steps, so
+    # the test builds no _reducer: every monic f of degree <= 5 at p = 3, 5, 7, and
     # seeded f up to degree 8 with any leading coefficient, against is_irreducible.
+    # p = 2 takes Ben-Or, which builds one.
     import progressio.factor as fmod
 
     rng = random.Random(71)
     cases = []
-    for p in (2, 3, 5, 7):
+    for p in (3, 5, 7):
         field = PrimeField(p)
         for n in range(1, 6):
             cases += [(list(f.coeffs), p) for f in _monic_polys(field, n)]
@@ -313,7 +351,7 @@ def test_shift_route_builds_no_remainder_map(monkeypatch):
 
     monkeypatch.setattr(fmod, "_reducer", no_reducer)
     for (f, p), expected in zip(cases, want):
-        for sieved in (False, True)[: 1 + is_separable(Poly(PrimeField(p), f))]:
+        for sieved in (False, True)[: 1 + _sieve_passes(f, p)]:
             assert _rabin_irreducible(f, p, sieved) == expected, (p, f, sieved)
 
 
@@ -328,11 +366,9 @@ def test_square_and_shift_xp_matches_pow_mod(p):
     rng = random.Random(p)
     for n in (1, 2, 8, 9, 33, 128):
         f = [rng.randrange(p) for _ in range(n)] + [1]
-        g = [rng.randrange(p) for _ in range(n - 1)] + [1]
         rem = _reducer(f, p)
         xp = _pow_mod([0, 1], p, lambda a, b=(1,): _divmod(_mul(a, b, p), f, p)[1], p)
-        assert fmod._times_xp([1], f, rem, p) == xp, (p, n)
-        assert fmod._times_xp(g, f, rem, p) == _divmod(_mul(g, xp, p), f, p)[1]
+        assert fmod._xp(f, rem, p) == xp, (p, n)
         if p != 8:
             field = PrimeField(p)
             assert Poly(field, xp) == pow_mod(Poly.x(field), p, Poly(field, f))
@@ -348,7 +384,7 @@ def test_engine_matches_sympy_galoistools():
         p = f.field.modulus
         dense = list(reversed(f.coeffs))
         assert is_irreducible(f) == gt.gf_irreducible_p(dense, p, ZZ)
-        if is_separable(f):
+        if _sieve_passes(list(f.coeffs), p):
             assert _rabin_irreducible(list(f.coeffs), p, True) == is_irreducible(f)
         lc, ref = gt.gf_factor(dense, p, ZZ)
         ours = factorize(f, seed=seed)
@@ -381,8 +417,7 @@ def test_engine_matches_sympy_galoistools():
             f = monic(rng.randrange(1, 4)) * rng.randrange(1, p)
             g, k = monic(rng.randrange(1, 3)), monic(rng.randrange(1, 3))
             check(f * g**p * k ** (p * p), rng.randrange(100))
-    # Degree <= 8, Berlekamp's count: irreducible g^2, g^3 and g^p (f' = 0), and
-    # g * (X - r), which the sieved entry must get right although it has a root.
+    # Degree <= 8: irreducible g^2, g^3 and g^p (f' = 0), and g * (X - r).
     rng = random.Random(61)
     for p in (2, 3, 7, 10007, (1 << 61) - 1):
         field = PrimeField(p)
@@ -461,19 +496,18 @@ def test_frobenius_data_built_once_per_squarefree_part(monkeypatch):
     import progressio.factor as fmod
 
     built = []
-    frobenius_rows, times_xp = fmod._frobenius_rows, fmod._times_xp
+    frobenius_rows, xp_ = fmod._frobenius_rows, fmod._xp
 
     def count_rows(xp, f, rem, p):
         built.append("rows")
         return frobenius_rows(xp, f, rem, p)
 
-    def count_xp(g, f, rem, p):
-        if g == [1]:  # X^p mod f
-            built.append("xp")
-        return times_xp(g, f, rem, p)
+    def count_xp(f, rem, p):
+        built.append("xp")
+        return xp_(f, rem, p)
 
     monkeypatch.setattr(fmod, "_frobenius_rows", count_rows)
-    monkeypatch.setattr(fmod, "_times_xp", count_xp)
+    monkeypatch.setattr(fmod, "_xp", count_xp)
     rng = random.Random(29)
     for p in (2, 3, 5, 10007, (1 << 61) - 1):
         field = PrimeField(p)
