@@ -6,11 +6,12 @@ and each row X^p * row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.1
 deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on, a
 row is a mulmod (below the size switch, the linear map g -> X^p * g, whose rows come by
 shift steps), and X^p is a squaring per bit of p plus a shift per 1 bit from
-X^(p >> s), p >> s < deg f. The test starts with disc f: 0 is a repeated factor, and for
-odd p its character is (-1)^(n-r), r the number of distinct irreducible factors (Swan
-1962). So an admitted f that is reducible has r >= 3 and a factor of degree <= n/3;
-below the size switch (degree <= 8) that is a root or a quadratic factor, so the test
-takes gcd(X^p - X, f), and from degree 6 on gcd(X^(p^2) - X, f). Factorization runs
+X^(p >> s), p >> s < deg f, packed in poly's Barrett kernel at degree 5-8. The test
+starts with disc f: 0 is a repeated factor, and for odd p its character is (-1)^(n-r),
+r the number of distinct irreducible factors (Swan 1962). So an admitted f that is
+reducible has r >= 3 and a factor of degree <= n/3; below the size switch (degree <= 8)
+that is a root or a quadratic factor, so the test takes gcd(X^p - X, f), and from
+degree 6 on gcd(X^(p^2) - X, f), X^(p^2) = X^p(X^p) by Horner's rule. Factorization runs
 Ben-Or's distinct-degree loop at every degree, and the test runs it from the switch on
 and at p = 2, which has no parity: for d = 1, 2, ... while 2d <= deg(rest),
 gcd(X^(p^d) - X, rest) is the product of the degree-d irreducible factors, and what is
@@ -51,12 +52,14 @@ from .poly import (
     _gcd,
     _linear_map,
     _monic,
+    _pack,
     _pow_mod,
     _reducer,
     _resultant,
     _sub,
     _times_x,
     _trim,
+    _unpack,
     format_poly,
 )
 
@@ -95,10 +98,16 @@ def count_irreducibles(p: int, n: int) -> int:
 
 
 def _xp(f: list[int], rem, p: int) -> list[int]:
-    # X^p mod f, f monic; from p = 8 on, from X^(p >> s), deg < n.
+    # X^p mod f, f monic; from p = 8 on, from X^(p >> s), deg < n, packed if rem.kernel.
     if p < _SHIFT_SWITCH:
         return _times_x([1], f, p, p)
     s = next(s for s in range(p.bit_length() + 1) if p >> s < len(f) - 1)
+    if rem.kernel:
+        k, mulmod = rem.kernel
+        x = 1 << 8 * k * (p >> s)
+        for i in range(s - 1, -1, -1):
+            x = mulmod(x, x << 8 * k if p >> i & 1 else x)
+        return _trim(_unpack(x, k, len(f) - 1, p))
     xp = [0] * (p >> s) + [1]
     for i in range(s - 1, -1, -1):
         xp = _times_x(rem(xp, xp), f, p, p >> i & 1)
@@ -177,7 +186,8 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
     disc f fails ``_disc_admits``. From the size switch on, and at p = 2, Ben-Or: all
     gcd(X^(p^d) - X, f) = 1, d <= n/2. Below it, for odd p, f is squarefree with an odd
     number r of factors: unless ``sieved``, False if gcd(X^p - X, f) != 1; then True for
-    n <= 5 (r >= 3 factors of degree >= 2 need n >= 6), else iff gcd(X^(p^2) - X, f) = 1.
+    n <= 5 (r >= 3 factors of degree >= 2 need n >= 6), else iff gcd(X^(p^2) - X, f) = 1,
+    X^(p^2) = X^p(X^p) by Horner's rule from p = 8 on: n - 1 packed Barrett mulmods.
     """
     f = _monic(coeffs, p)
     n = len(f) - 1
@@ -191,9 +201,14 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
         return False  # a root; a linear f is its own root factor, hence n > 1
     if n < 6:
         return True
-    # X^(p^2): p^2 - p shift steps below p = 8, else X^p composed with itself.
-    xq = (_times_x(xp, f, p, p * p - p) if p < _SHIFT_SWITCH
-          else _linear_map(_frobenius_rows(xp, f, rem, p), p)(xp))
+    if p < _SHIFT_SWITCH:
+        xq = _times_x(xp, f, p, p * p - p)
+    else:
+        k, mulmod = rem.kernel
+        y, xq = _pack(xp, k), 0
+        for c in reversed(xp):
+            xq = mulmod(xq, y) + c if xq else c
+        xq = _trim(_unpack(xq, k, n, p))
     return len(_gcd(_sub(xq, [0, 1], p), f, p)) == 1
 
 

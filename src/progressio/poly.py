@@ -15,9 +15,10 @@ Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
 Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a, len
 b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
 (v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius. ``_reducer``
-gives a -> a mod f and a, b -> a·b mod f; for f of degree 6 to 8 either is one packed
-pass whose high slots meet the rows X^(n+i) mod f, i < n − 1, and from the size switch
-on it uses the Newton inverse of reversed f (ibid., 9.1).
+gives a -> a mod f and a, b -> a·b mod f: at degree 5 to 8 by ``_barrett``'s packed
+mulmod (by X^(2n−1) div f, then per slot by ⌊2^s/p⌋; Barrett 1986), which factor's
+X^p and X^(p²) share, and from the size switch on by the Newton inverse of reversed f
+(ibid., 9.1).
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -39,8 +40,8 @@ from .ff import FieldElem, PrimeField
 
 ZERO_DEGREE = float("-inf")
 
-# Modulus degree from which _reducer takes the Newton inverse, not the packed pass, and
-# factor's irreducibility test runs Ben-Or, not its root and quadratic-factor gcds.
+# Modulus degree from which _reducer takes the Newton inverse, not the Barrett kernel,
+# and factor's irreducibility test runs Ben-Or, not its root and quadratic-factor gcds.
 _SIZE_SWITCH = 9
 
 _BYTE_ORDER = sys.byteorder
@@ -73,9 +74,9 @@ def _sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def _slot_bytes(terms: int, p: int) -> int:
-    # Bytes per Kronecker slot that hold a sum of `terms` products, no carry.
-    k = ((terms * (p - 1) ** 2).bit_length() + 7) // 8
+def _slot_bytes(top: int) -> int:
+    # Bytes per Kronecker slot that hold values up to top, no carry: 1, 2, 4, 8 or more.
+    k = (top.bit_length() + 7) // 8
     return k if k > 8 else 1 << (k - 1).bit_length()
 
 
@@ -101,14 +102,15 @@ def _mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     # Schoolbook/Kronecker time, CPython 3.11, p = 10007: 2x16 1.0, 3x12 1.1, 5x6 1.2,
     # 8x8 1.8, 2x65 1.7; slots over 8 bytes pack slowly, p = 2^61 - 1: 8x8 1.0,
     # 10x10 0.7, 12x12 1.2, 5x65 1.0, 8x65 1.3.
-    if la * lb < 30 or la * lb < 5 * (la + lb) and _slot_bytes(min(la, lb), p) > 8:
+    if la * lb < 30 or (la * lb < 5 * (la + lb)
+                        and _slot_bytes(min(la, lb) * (p - 1) ** 2) > 8):
         out = [0] * (la + lb - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return _trim([v % p for v in out])
-    k = _slot_bytes(min(la, lb), p)
+    k = _slot_bytes(min(la, lb) * (p - 1) ** 2)
     x = _pack(a, k)
     y = x if a is b else _pack(b, k)
     return _trim(_unpack(x * y, k, la + lb - 1, p))
@@ -157,18 +159,54 @@ def _linear_map(rows: Sequence[Sequence[int]], p: int):
     # v -> sum v_i * rows[i] mod p, trimmed; each row is one Kronecker int with slots
     # for len(rows) products.
     n = max(map(len, rows), default=0)  # the output width
-    k = _slot_bytes(len(rows), p)
+    k = _slot_bytes(len(rows) * (p - 1) ** 2)
     ints = [_pack(r, k) for r in rows]
     return lambda v: _trim(_unpack(sum(map(mul, v, ints)), k, n, p))
 
 
+def _barrett(f: Sequence[int], p: int):
+    # f monic, degree n. Returns k and x, y -> x*y mod f on ints of n k-byte slots, each
+    # in [0, 2p) (x, y: slot 0 < 3p, and y may be x << 8k). If deg z < 2n, z div f is
+    # ((z >> n slots) * mu) >> n - 1 slots, mu = X^(2n-1) div f; a slot v becomes
+    # v - p((v*m) >> s) < 2p, m = 2^s // p, as s is the least with v*m / 2^s > v/p - 1
+    # for v < vmax, which bounds z (4n + 4)p^2, the quotient 2np^2, and z's low slots
+    # plus a bias of 2np^2 (a multiple of p above any slot of the quotient times f).
+    n = len(f) - 1
+    g, rev = f[-2::-1], [1]  # rev f = 1 + g_0 X + ..., rev = 1 / rev f mod X^n = rev mu
+    for i in range(1, n):
+        rev.append(-sum(map(mul, g[:i], reversed(rev))) % p)
+    vmax = (6 * n + 4) * p * p
+    s = ((vmax - 1) // p).bit_length()
+    while (vmax - 1) * ((1 << s) % p) >= p << s:
+        s += 1
+    m = (1 << s) // p
+    k = _slot_bytes((vmax - 1) * m)
+    low, top, shift = (1 << 8 * k * n) - 1, 8 * k * n, 8 * k * (n - 1)
+    ones = low // ((1 << 8 * k) - 1)  # 1 in each slot
+    mask, bias = ones * ((1 << 8 * k - s) - 1), ones * 2 * n * p * p
+    mu, f_low = _pack(rev[::-1], k), _pack(f[:n], k)
+
+    def mulmod(x: int, y: int) -> int:
+        z = x * y
+        h = z >> top
+        h -= p * (h * m >> s & mask)
+        q = h * mu >> shift
+        q -= p * (q * m >> s & mask)
+        r = (z & low) + bias - (q * f_low & low)
+        return r - p * (r * m >> s & mask)
+
+    return k, mulmod
+
+
 def _reducer(f: Sequence[int], p: int):
-    # a -> a mod f, a, b -> a*b mod f. If n < len a < 2n: from the switch on, the
-    # inverse of reversed f; for 6 <= n below it, one packed pass (1.3-2.2x division).
+    # a -> a mod f, a, b -> a*b mod f. If n < len a < 2n: the inverse of reversed f from
+    # the switch on, and below it from n = 5 the Barrett kernel (rem.kernel, else None).
     f = _monic(f, p)
     n = len(f) - 1
-    k = _slot_bytes(2 * n - 1, p)
-    ints = None
+    # Kernel/division us, p = 11, 10007, 2^61 - 1: n = 5, a*b mod f 2.9/7.4, 3.4/8.0,
+    # 8.4/13.8, a mod f 2.3/3.4, 2.7/4.0, 6.8/7.7; n = 4, a mod f 2.2/2.0, 2.5/2.9,
+    # 5.7/4.8 (CPython 3.11, one process, best of 7).
+    kernel = _barrett(f, p) if 5 <= n < _SIZE_SWITCH else None
     inv, prec = [1], 1
     while n >= _SIZE_SWITCH and prec < n - 1:
         prec = min(2 * prec, n - 1)
@@ -176,26 +214,21 @@ def _reducer(f: Sequence[int], p: int):
         inv = _sub(_mul_scalar(inv, 2, p), err, p)
 
     def rem(a: Sequence[int], b: Sequence[int] | None = None) -> list[int]:
-        nonlocal ints
-        if b is not None and not (6 <= n < _SIZE_SWITCH and max(len(a), len(b)) <= n):
+        if b is not None and not (kernel and max(len(a), len(b)) <= n):
             a, b = _mul(a, b, p), None
         m = len(a) - n
-        if b is None and (n < 6 or not 0 < m < n):
+        if b is None and (not 0 < m < n or not kernel and n < _SIZE_SWITCH):
             return _divmod(a, f, p)[1]
         if n >= _SIZE_SWITCH:
             q_rev = _mul(a[: n - 1 : -1], inv[:m], p)[:m]
             q = [0] * (m - len(q_rev)) + q_rev[::-1]
             return _sub(a[:n], _mul(q, f, p)[:n], p)
-        if ints is None:
-            rows = [[0] * (n - 1) + [1]]
-            for _ in range(n - 1):
-                rows.append(_times_x(rows[-1], f, p))
-            ints = [_pack(r, k) for r in rows[1:]]
-        z = (x := _pack(a, k)) * (1 if b is None else x if b is a else _pack(b, k))
-        high, low = divmod(z, 1 << 8 * k * n)  # slots n.. and 0..n-1
-        high = _unpack(high, k, n - 1, p)
-        return _trim(_unpack(sum(map(mul, high, ints), low), k, n, p))
+        k, mulmod = kernel
+        x = _pack(a, k)
+        z = mulmod(x, 1 if b is None else x if b is a else _pack(b, k))
+        return _trim(_unpack(z, k, n, p))
 
+    rem.kernel = kernel
     return rem
 
 

@@ -29,11 +29,14 @@ from progressio.poly import (
     _deriv,
     _divmod,
     _linear_map,
+    _monic,
     _mul,
+    _pack,
     _reducer,
     _resultant,
     _slot_bytes,
     _trim,
+    _unpack,
 )
 
 F2 = PrimeField(2)
@@ -206,7 +209,7 @@ def test_mul_matches_convolution_across_the_size_switch():
             top = Poly(field, [p - 1] * n)  # every slot at its largest sum
             assert top * top == naive_mul(top, top)
         for terms in range(1, 1000):
-            k = _slot_bytes(terms, p)
+            k = _slot_bytes(terms * (p - 1) ** 2)
             assert 256**k > terms * (p - 1) ** 2 and (k in (1, 2, 4, 8) or k > 8)
 
 
@@ -253,9 +256,9 @@ def test_linear_map_matches_a_naive_sum():
 
 
 def test_remainder_table_matches_long_division():
-    # Every input length 0..2n+1 for f of degree 1..8, monic or not: the table serves
-    # 6 <= n < len a < 2n, long division the rest. Inputs of all p - 1 fill each slot
-    # to (p - 1) + (n - 1)(p - 1)^2.
+    # Every input length 0..2n+1 for f of degree 1..8, monic or not: the Barrett kernel
+    # serves 5 <= n < len a < 2n, long division the rest. Inputs of all p - 1 put every
+    # slot at p - 1.
     rng = random.Random(47)
     for p in KERNEL_MODULI:
         field = PrimeField(p)
@@ -273,9 +276,9 @@ def test_remainder_table_matches_long_division():
 
 
 def test_packed_product_matches_long_division():
-    # rem(x, y) = x*y mod f for f of degree 1..12: one packed pass for 6 <= n below
+    # rem(x, y) = x*y mod f for f of degree 1..12: the Barrett kernel for 5 <= n below
     # the switch, a product and then a remainder elsewhere or for an unreduced
-    # operand. Operands of all p - 1 fill each slot to its bound (2n - 1)(p - 1)^2.
+    # operand. Operands of all p - 1 fill each product slot to n(p - 1)^2.
     rng = random.Random(67)
     for p in (2, 3, 11, 10007, (1 << 61) - 1):
         for n in range(1, 13):
@@ -291,29 +294,83 @@ def test_packed_product_matches_long_division():
                     assert rem(a, b) == want, (p, n, a, b)
 
 
-def test_remainder_table_for_any_lead_and_only_when_used(monkeypatch):
-    # The table is built on the first input with 8 < len a < 16: the 7 rows
-    # X^8..X^14 mod f by shift steps, for a monic and a non-monic f alike.
+def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
+    # _reducer builds the kernel once, when it is made, for f of degree 5..8 only, monic
+    # or not; it serves 8 < len a < 16 at n = 8, long division the other lengths.
     import progressio.poly as pmod
 
     built = []
-    times_x = pmod._times_x
-    monkeypatch.setattr(pmod, "_times_x", lambda *args: built.append(1) or times_x(*args))
+    barrett = pmod._barrett
+    monkeypatch.setattr(pmod, "_barrett", lambda *args: built.append(1) or barrett(*args))
     rng = random.Random(53)
     for p in KERNEL_MODULI:
         field = PrimeField(p)
         for lead in (1, 2) if p > 2 else (1,):
+            for n in (4, 9):
+                _reducer([rng.randrange(p) for _ in range(n)] + [lead], p)
+            assert not built, (p, lead)
             f = [rng.randrange(p) for _ in range(8)] + [lead]
             rem = _reducer(f, p)
-            for length in (0, 3, 8, 16, 17, 40):  # none with 8 < length < 16
+            assert len(built) == 1, (p, lead)
+            for length in (0, 3, 8, 16, 17, 40, 15, 9, 12):
                 a = [rng.randrange(p) for _ in range(length - 1)] + [1] if length else []
                 assert Poly(field, rem(a)) == divmod(Poly(field, a), Poly(field, f))[1]
-            assert not built, (p, lead)
-            for length in (15, 9, 12):
-                a = [rng.randrange(p) for _ in range(length - 1)] + [1]
-                assert Poly(field, rem(a)) == divmod(Poly(field, a), Poly(field, f))[1]
-                assert len(built) == 7, (p, lead, length)  # built once
+            assert len(built) == 1, (p, lead)  # built once
             built.clear()
+
+
+BARRETT_MODULI = (11, 13, 101, 10007, (1 << 31) - 1, (1 << 61) - 1)
+
+
+def _check_mulmod(p, f, a, b):
+    # The kernel of _reducer(f) on slots a, b (residues up to 3p - 1): the result is
+    # a*b mod f, each slot in [0, 2p), and nothing spills above slot n - 1.
+    n = len(f) - 1
+    k, mulmod = _reducer(f, p).kernel
+    x = _pack(a, k)
+    z = mulmod(x, x if a is b else _pack(b, k))
+    slots = _unpack(z, k, n + 1, 1 << 8 * k)  # raw slots, no reduction
+    assert slots[n] == 0 and max(slots) < 2 * p, (p, f, a, b, slots)
+    want = _divmod(_mul(_trim([c % p for c in a]), _trim([c % p for c in b]), p),
+                   _monic(f, p), p)[1]
+    assert _trim([v % p for v in slots]) == want, (p, f, a, b)
+
+
+def test_barrett_mulmod_matches_long_division():
+    # Operands at the top of the redundant range: every slot 2p - 1, and slot 0 at
+    # 3p - 1 as after factor's Horner step; zero; x is y; x times x*X (n + 1 slots) as
+    # in factor's X^p. Moduli monic or not, with low coefficients random, all p - 1
+    # (the quotient times f at its largest) and X^n + c (at its smallest).
+    rng = random.Random(73)
+    for p in BARRETT_MODULI:
+        for n in range(5, _SIZE_SWITCH):
+            for lead in (1, rng.randrange(2, p)):
+                for low in ([rng.randrange(p) for _ in range(n)], [p - 1] * n,
+                            [rng.randrange(1, p)] + [0] * (n - 1)):
+                    top = [2 * p - 1] * n
+                    horner = [3 * p - 1] + top[1:]
+                    x, y = ([rng.randrange(2 * p) for _ in range(n)] for _ in "xy")
+                    for a, b in ((top, top), (horner, top), (top, horner), (horner, horner),
+                                 (top, [0] + top), (x, [0] + x), (x, y), (x, x),
+                                 ([], top), (horner, []), ([1], y)):
+                        _check_mulmod(p, low + [lead], a, b)
+
+
+@st.composite
+def _kernel_operands(draw):
+    p = draw(st.sampled_from(BARRETT_MODULI))
+    n = draw(st.integers(5, _SIZE_SWITCH - 1))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    f.append(draw(st.integers(1, p - 1)))
+    a, b = (draw(st.lists(st.integers(0, 2 * p - 1), min_size=n, max_size=n)) for _ in "ab")
+    a[0], b[0] = draw(st.integers(0, 3 * p - 1)), draw(st.integers(0, 3 * p - 1))
+    return p, f, a, b
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_kernel_operands())
+def test_barrett_mulmod_property(case):
+    _check_mulmod(*case)
 
 
 def test_pow_mod_matches_repeated_multiplication():
