@@ -28,7 +28,7 @@ from .factor import (_disc_admits, _discriminant, count_irreducibles, factorize,
 from .ff import PrimeField
 from .galois import certify_sn
 from .oracle import _monic_polys, enumerate_irreducibles, naive_factor, naive_mul
-from .poly import Poly, _eval, _reducer, parse_poly
+from .poly import _SIZE_SWITCH, Poly, _eval, _reducer, parse_poly
 
 
 def _emit(text: str, path: str | None):
@@ -134,7 +134,8 @@ def _selftest_suites(level: str):
     yield "irreducibility test agrees with the sieve", lambda: all(
         {f for f in _monic_polys(PrimeField(p), n) if is_irreducible(f)}
         == set(enumerate_irreducibles(p, n))
-        for p, top in ((2, degree_cap), (3, 6)) for n in range(1, top + 1)
+        for p, top in ((2, degree_cap), (3, 6 if level == "quick" else 9))
+        for n in range(1, top + 1)
     )
 
     def mul_agreement() -> bool:
@@ -147,7 +148,7 @@ def _selftest_suites(level: str):
             g = Poly(field, [rng.randrange(p) for _ in range(rng.randrange(1, 151))])
             if f * g != naive_mul(f, g):
                 return False
-            n = rng.randrange(5, 9)
+            n = rng.randrange(5, _SIZE_SWITCH)
             m = Poly(field, [rng.randrange(p) for _ in range(n)] + [1])
             f, g = (Poly(field, [rng.randrange(p) for _ in range(n)]) for _ in "fg")
             product = _reducer(m.coeffs, p)(f.coeffs, g.coeffs)  # the Barrett mulmod

@@ -3,21 +3,17 @@
 Both read the Frobenius off X^p mod f: the rows X^(i*p) mod f, applied as poly's
 ``_linear_map``, so no exponent grows with p^d. Below p = 8 (``_SHIFT_SWITCH``), X^p
 and each row X^p * row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11,
-deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on, a
-row is a mulmod (below the size switch, the linear map g -> X^p * g, whose rows come by
-shift steps), and X^p is a squaring per bit of p plus a shift per 1 bit from
-X^(p >> s), p >> s < deg f, packed in poly's Barrett kernel at degree 5-8. The test
-starts with disc f: 0 is a repeated factor, and for odd p its character is (-1)^(n-r),
-r the number of distinct irreducible factors (Swan 1962). So an admitted f that is
-reducible has r >= 3 and a factor of degree <= n/3; below the size switch (degree <= 8)
-that is a root or a quadratic factor, so the test takes gcd(X^p - X, f), and from
-degree 6 on gcd(X^(p^2) - X, f), X^(p^2) = X^p(X^p) by Horner's rule. Factorization runs
-Ben-Or's distinct-degree loop at every degree, and the test runs it from the switch on
-and at p = 2, which has no parity: for d = 1, 2, ... while 2d <= deg(rest),
-gcd(X^(p^d) - X, rest) is the product of the degree-d irreducible factors, and what is
-left at the end is irreducible; the test stops at the first nontrivial gcd. Degrees
-d > 1 come in blocks [d, 2d) (Shoup 1995): one gcd with the product of the
-X^(p^e) - X over a block, and one per degree only when that gcd is nontrivial.
+deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on,
+X^p is a squaring per bit of p plus a shift per 1 bit from X^(p >> s), p >> s < deg f,
+and a row is a mulmod or, where poly's Barrett kernel serves f, the linear map
+g -> X^p * g, whose rows come by shift steps. Both run Ben-Or's distinct-degree loop:
+gcd(X^(p^d) - X, f) is the product of the degree-d irreducible factors of f, and
+degrees d > 1 come in blocks [d, 2d) (Shoup 1995), one gcd with the product of the
+X^(p^e) - X over a block. Factorization divides each nontrivial product out while
+2d <= deg(rest), and what is left is irreducible. The test starts with disc f: 0 is a
+repeated factor, and for odd p its character is (-1)^(n-r), r the number of distinct
+irreducible factors (Swan 1962). So an admitted reducible f has a factor of degree
+<= n/2, and for odd p (r >= 3) <= n/3; the test stops there or at a nontrivial gcd.
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
@@ -44,7 +40,6 @@ from .errors import (
 )
 from .ff import FieldElem
 from .poly import (
-    _SIZE_SWITCH,
     Poly,
     _add,
     _deriv,
@@ -116,9 +111,9 @@ def _xp(f: list[int], rem, p: int) -> list[int]:
 
 def _frobenius_rows(xp: list[int], f: list[int], rem, p: int) -> list[list[int]]:
     # Rows X^(i*p) mod f for i < deg f, each X^p times the one before: p shift steps
-    # below p = 8, else a mulmod or, below the size switch, the map g -> X^p * g.
+    # below p = 8, else a mulmod or, if rem.kernel, the map g -> X^p * g.
     step = lambda g: _times_x(g, f, p, p) if p < _SHIFT_SWITCH else rem(g, xp)
-    if p >= _SHIFT_SWITCH and len(f) <= _SIZE_SWITCH:
+    if p >= _SHIFT_SWITCH and rem.kernel:
         cols = [xp]
         for _ in range(len(f) - 2):
             cols.append(_times_x(cols[-1], f, p))
@@ -183,33 +178,37 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
     """Irreducibility test; coefficients normalized, degree n >= 1.
 
     Unless ``sieved`` (the caller proved f rootless and passing this check): False if
-    disc f fails ``_disc_admits``. From the size switch on, and at p = 2, Ben-Or: all
-    gcd(X^(p^d) - X, f) = 1, d <= n/2. Below it, for odd p, f is squarefree with an odd
-    number r of factors: unless ``sieved``, False if gcd(X^p - X, f) != 1; then True for
-    n <= 5 (r >= 3 factors of degree >= 2 need n >= 6), else iff gcd(X^(p^2) - X, f) = 1,
-    X^(p^2) = X^p(X^p) by Horner's rule from p = 8 on: n - 1 packed Barrett mulmods.
+    disc f fails ``_disc_admits`` or f has a root. Then False iff, for 2 <= d <= top
+    (n/2 at p = 2, n/3 for odd p), a gcd of f with the product of the X^(p^d) - X over
+    a block [2^i, 2^(i+1)), cut at top, is nontrivial.
     """
-    f = _monic(coeffs, p)
-    n = len(f) - 1
+    f, n = _monic(coeffs, p), len(coeffs) - 1
     if not sieved and not _disc_admits(_discriminant(f, p), n, p):
         return False
-    if n >= _SIZE_SWITCH or p == 2:
-        return next(_ben_or(f, p))[1] == n
+    top = n // 2 if p == 2 else n // 3
     rem = _reducer(f, p) if p >= _SHIFT_SWITCH else None  # shift steps need none
-    xp = _xp(f, rem, p)
-    if not sieved and n > 1 and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
-        return False  # a root; a linear f is its own root factor, hence n > 1
-    if n < 6:
-        return True
-    if p < _SHIFT_SWITCH:
-        xq = _times_x(xp, f, p, p * p - p)
-    else:
-        k, mulmod = rem.kernel
-        y, xq = _pack(xp, k), 0
-        for c in reversed(xp):
-            xq = mulmod(xq, y) + c if xq else c
-        xq = _trim(_unpack(xq, k, n, p))
-    return len(_gcd(_sub(xq, [0, 1], p), f, p)) == 1
+    h = xp = _xp(f, rem, p)
+    if not sieved and top and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
+        return False  # a root
+    for d in range(2, top + 1):
+        if top > 2:  # iterates of the Frobenius rows
+            if d == 2:  # below p = 8 the reducer is built only here, past the root gcd
+                rem = rem or _reducer(f, p)
+                frob = _linear_map(_frobenius_rows(xp, f, rem, p), p)
+            h = frob(h)
+        elif p < _SHIFT_SWITCH:
+            h = _times_x(xp, f, p, p * p - p)
+        else:  # X^p(X^p) by Horner's rule: n - 1 packed Barrett mulmods
+            k, mulmod = rem.kernel
+            y, h = _pack(xp, k), 0
+            for c in reversed(xp):
+                h = mulmod(h, y) + c if h else c
+            h = _trim(_unpack(h, k, n, p))
+        hx = _sub(h, [0, 1], p)
+        acc = hx if d & (d - 1) == 0 else rem(acc, hx)
+        if (d == top or d & (d + 1) == 0) and len(_gcd(acc, f, p)) > 1:
+            return False
+    return True
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -15,10 +15,10 @@ Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
 Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a, len
 b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
 (v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius. ``_reducer``
-gives a -> a mod f and a, b -> a·b mod f: at degree 5 to 8 by ``_barrett``'s packed
-mulmod (by X^(2n−1) div f, then per slot by ⌊2^s/p⌋; Barrett 1986), which factor's
-X^p and X^(p²) share, and from the size switch on by the Newton inverse of reversed f
-(ibid., 9.1).
+gives a -> a mod f and a, b -> a·b mod f: from degree 5 up to the size switch by
+``_barrett``'s packed mulmod (by X^(2n−1) div f, then per slot by ⌊2^s/p⌋; Barrett
+1986), which factor's X^p, Frobenius rows and products share, and from the switch on
+by the Newton inverse of reversed f (ibid., 9.1).
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -40,9 +40,9 @@ from .ff import FieldElem, PrimeField
 
 ZERO_DEGREE = float("-inf")
 
-# Modulus degree from which _reducer takes the Newton inverse, not the Barrett kernel,
-# and factor's irreducibility test runs Ben-Or, not its root and quadratic-factor gcds.
-_SIZE_SWITCH = 9
+# Degree from which _reducer takes the Newton inverse, not the Barrett kernel. factor's
+# benchmark inputs took 1.15/1.04/0.97/1.06 s a pass at 9/24/40/64 (CPython 3.11).
+_SIZE_SWITCH = 40
 
 _BYTE_ORDER = sys.byteorder
 _ARRAY_CODES = {array(code).itemsize: code for code in "QIHB"}
@@ -199,8 +199,8 @@ def _barrett(f: Sequence[int], p: int):
 
 
 def _reducer(f: Sequence[int], p: int):
-    # a -> a mod f, a, b -> a*b mod f. If n < len a < 2n: the inverse of reversed f from
-    # the switch on, and below it from n = 5 the Barrett kernel (rem.kernel, else None).
+    # a -> a mod f, a, b -> a*b mod f. If n < len a < 2n: for 5 <= n < _SIZE_SWITCH the
+    # Barrett kernel (rem.kernel, else None), and from the switch on the Newton inverse.
     f = _monic(f, p)
     n = len(f) - 1
     # Kernel/division us, p = 11, 10007, 2^61 - 1: n = 5, a*b mod f 2.9/7.4, 3.4/8.0,

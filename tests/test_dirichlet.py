@@ -165,7 +165,7 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
 
 
 def test_sieved_members_skip_the_root_gcd(monkeypatch):
-    # Below the size switch a sieved member costs one resultant, res(f, f'), and no
+    # Up to degree 8 a sieved member costs one resultant, res(f, f'), and no
     # root gcd: the root sieve stands in for it, and res(f, f') != 0 proves f
     # squarefree. On lines of p = 3 points the discriminant sieve makes that
     # resultant per member, so the test itself makes none. From degree 6 on its one

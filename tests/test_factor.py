@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -66,11 +67,11 @@ def test_is_irreducible_rejects_constants():
 
 
 def test_is_irreducible_against_enumeration():
-    # Every monic f below the size switch (degree <= 8) against the oracle's sieve,
-    # and the sieved entry on every f the sieve passes. For odd p such an f of
-    # degree 6 to 8 that is reducible has three factors, a quadratic among them,
-    # which only gcd(X^(p^2) - X, f) catches; every grid reaching degree 6 has some.
-    for p, top in ((2, 8), (3, 8), (5, 6), (7, 5)):
+    # Every monic f up to degree 12 at p = 2 and 9 at p = 3 against the oracle's
+    # sieve, and the sieved entry on every f the sieve passes. For odd p such an f of
+    # degree 6 to 9 that is reducible has three factors, one of degree <= n/3, which
+    # only the gcds past the root gcd catch; every grid reaching degree 6 has some.
+    for p, top in ((2, 12), (3, 9), (5, 6), (7, 5)):
         field = PrimeField(p)
         sieved_reducible = 0
         for n in range(1, top + 1):
@@ -84,29 +85,45 @@ def test_is_irreducible_against_enumeration():
         assert sieved_reducible > 0 or top < 6, p
 
 
-@pytest.mark.parametrize("p", [3, 11, 10007, (1 << 61) - 1])
-def test_three_factors_without_a_root_are_refused(p):
-    # Squarefree products of three irreducibles, a quadratic among them and none
-    # linear: the discriminant admits them (r = 3 is odd) and no root shows, so only
-    # the gcd with X^(p^2) - X refuses them, at either entry; sympy agrees.
+def _refused_products(p, shapes):
+    # Squarefree products of distinct irreducibles of the given degrees, none linear:
+    # no root shows, and both entries and sympy refuse each one.
     gt = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
 
     rng = random.Random(p)
     field = PrimeField(p)
-    for shape in ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3)):
+    for shape in shapes:
         for _ in range(3):
             factors = []
-            while len(factors) < 3:
+            while len(factors) < len(shape):
                 g = _random_irreducible(rng, field, shape[len(factors)])
                 if g not in factors:
                     factors.append(g)
-            f = factors[0] * factors[1] * factors[2]
+            f = math.prod(factors)
             coeffs = list(f.coeffs)
             assert _sieve_passes(coeffs, p), (p, shape, f)
             assert not is_irreducible(f)
             assert not _rabin_irreducible(coeffs, p, True)
             assert not gt.gf_irreducible_p(coeffs[::-1], p, ZZ)
+
+
+@pytest.mark.parametrize("p", [3, 11, 10007, (1 << 61) - 1])
+def test_three_factors_without_a_root_are_refused(p):
+    # The discriminant admits three factors (r = 3 is odd), so the test looks only up
+    # to degree n/3. Up to degree 8 that is a quadratic, which only the gcd with
+    # X^(p^2) - X refuses; from degree 9 on the smallest factor has degree exactly
+    # n/3, the loop's last degree, or the gcd over the block [2, 3] refuses it, for
+    # (2, 2, 8) before the loop reaches top = 4.
+    _refused_products(p, ((2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 3, 3),
+                          (3, 3, 4), (4, 4, 4), (4, 4, 5), (5, 5, 5), (2, 2, 5),
+                          (2, 2, 8)))
+
+
+def test_two_factors_without_a_root_are_refused_at_p2():
+    # p = 2 has no parity, so the test looks up to degree n/2: shapes whose smaller
+    # factor has degree exactly n/2, or n/2 rounded down.
+    _refused_products(2, ((3, 3), (4, 4), (4, 5), (5, 5)))
 
 
 def test_discriminant_character_counts_the_factors():
@@ -309,7 +326,7 @@ def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
 
     rng = random.Random(p)
     field = PrimeField(p)
-    for n in (1, 2, 8, 9, 33):
+    for n in (1, 2, 8, 9, 33, 41):
         f = [rng.randrange(p) for _ in range(n)] + [1]
         rem = _reducer(f, p)
         routes = []
@@ -327,10 +344,10 @@ def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
 
 
 def test_shift_route_builds_no_remainder_map(monkeypatch):
-    # At odd p below 8 and the size switch, X^p and X^(p^2) go by shift steps, so
-    # the test builds no _reducer: every monic f of degree <= 5 at p = 3, 5, 7, and
+    # At odd p below 8 and degree <= 8, X^p and X^(p^2) go by shift steps, so the
+    # test builds no _reducer: every monic f of degree <= 5 at p = 3, 5, 7, and
     # seeded f up to degree 8 with any leading coefficient, against is_irreducible.
-    # p = 2 takes Ben-Or, which builds one.
+    # From degree 9 (at p = 2 from degree 6) the rows and their products need one.
     import progressio.factor as fmod
 
     rng = random.Random(71)

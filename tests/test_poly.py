@@ -295,8 +295,9 @@ def test_packed_product_matches_long_division():
 
 
 def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
-    # _reducer builds the kernel once, when it is made, for f of degree 5..8 only, monic
-    # or not; it serves 8 < len a < 16 at n = 8, long division the other lengths.
+    # _reducer builds the kernel once, when it is made, for f of degree 5 up to the size
+    # switch only, monic or not; it serves 8 < len a < 16 at n = 8, long division the
+    # other lengths.
     import progressio.poly as pmod
 
     built = []
@@ -306,7 +307,7 @@ def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
     for p in KERNEL_MODULI:
         field = PrimeField(p)
         for lead in (1, 2) if p > 2 else (1,):
-            for n in (4, 9):
+            for n in (4, _SIZE_SWITCH):
                 _reducer([rng.randrange(p) for _ in range(n)] + [lead], p)
             assert not built, (p, lead)
             f = [rng.randrange(p) for _ in range(8)] + [lead]
