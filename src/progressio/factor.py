@@ -5,8 +5,8 @@ Both read the Frobenius off X^p mod f: the rows X^(i*p) mod f, applied as poly's
 and each row X^p * row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11,
 deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on,
 X^p is a squaring per bit of p plus a shift per 1 bit from X^(p >> s), p >> s < deg f,
-and a row is a mulmod or, where poly's Barrett kernel serves f, the linear map
-g -> X^p * g, whose rows come by shift steps. Both run Ben-Or's distinct-degree loop:
+and a row is the linear map g -> X^p * g, whose rows come by shift steps, applied to
+the one before. Both run Ben-Or's distinct-degree loop:
 gcd(X^(p^d) - X, f) is the product of the degree-d irreducible factors of f, and
 degrees d > 1 come in blocks [d, 2d) (Shoup 1995), one gcd with the product of the
 X^(p^e) - X over a block. Factorization divides each nontrivial product out while
@@ -109,11 +109,11 @@ def _xp(f: list[int], rem, p: int) -> list[int]:
     return xp
 
 
-def _frobenius_rows(xp: list[int], f: list[int], rem, p: int) -> list[list[int]]:
+def _frobenius_rows(xp: list[int], f: list[int], p: int) -> list[list[int]]:
     # Rows X^(i*p) mod f for i < deg f, each X^p times the one before: p shift steps
-    # below p = 8, else a mulmod or, if rem.kernel, the map g -> X^p * g.
-    step = lambda g: _times_x(g, f, p, p) if p < _SHIFT_SWITCH else rem(g, xp)
-    if p >= _SHIFT_SWITCH and rem.kernel:
+    # below p = 8, else the map g -> X^p * g.
+    step = lambda g: _times_x(g, f, p, p)
+    if p >= _SHIFT_SWITCH:
         cols = [xp]
         for _ in range(len(f) - 2):
             cols.append(_times_x(cols[-1], f, p))
@@ -135,7 +135,7 @@ def _ben_or(f: list[int], p: int):
     d = 1
     while 2 * d < len(rest):
         if d > 1 and not rows:  # not before d = 2: most random inputs have a root
-            rows = _frobenius_rows(h, rest, rem, p)
+            rows = _frobenius_rows(h, rest, p)
             frob = _linear_map(rows, p)
         top = min(2 * d - 1, (len(rest) - 1) // 2)
         hs = []
@@ -194,7 +194,7 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
         if top > 2:  # iterates of the Frobenius rows
             if d == 2:  # below p = 8 the reducer is built only here, past the root gcd
                 rem = rem or _reducer(f, p)
-                frob = _linear_map(_frobenius_rows(xp, f, rem, p), p)
+                frob = _linear_map(_frobenius_rows(xp, f, p), p)
             h = frob(h)
         elif p < _SHIFT_SWITCH:
             h = _times_x(xp, f, p, p * p - p)

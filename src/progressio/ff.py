@@ -1,10 +1,10 @@
 """Arithmetic in prime fields F_p for p < 2^61.
 
-A ``PrimeField`` validates its modulus with a deterministic Miller-Rabin
-test at construction; silent use of a composite modulus would make every
-downstream construction wrong without any visible failure. Elements are
-immutable ``FieldElem`` values; all operations are pure, so values can be
-shared freely across threads and processes.
+A ``PrimeField`` checks its modulus against 2^61 before a deterministic
+Miller-Rabin test, whose cost grows with the number tested; silent use of a
+composite modulus would make every downstream construction wrong without any
+visible failure. Elements are immutable ``FieldElem`` values; all operations
+are pure, so values can be shared freely across threads and processes.
 
 Convention: ``x ** 0 == 1`` for every x, including x == 0, so polynomial
 evaluation treats constant terms uniformly.
@@ -52,10 +52,10 @@ class PrimeField:
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int):
+        if isinstance(modulus, int) and modulus >= MAX_MODULUS:
+            raise OutOfRange(f"modulus must be < 2^61, got {modulus.bit_length()} bits")
         if not isinstance(modulus, int) or not is_prime(modulus):
             raise NotPrime(f"{modulus} is not prime")
-        if modulus >= MAX_MODULUS:
-            raise OutOfRange(f"modulus must be < 2^61, got {modulus}")
         object.__setattr__(self, "modulus", modulus)
 
     @property

@@ -15,10 +15,9 @@ Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
 Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a, len
 b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
 (v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius. ``_reducer``
-gives a -> a mod f and a, b -> a·b mod f: from degree 5 up to the size switch by
-``_barrett``'s packed mulmod (by X^(2n−1) div f, then per slot by ⌊2^s/p⌋; Barrett
-1986), which factor's X^p, Frobenius rows and products share, and from the switch on
-by the Newton inverse of reversed f (ibid., 9.1).
+gives a -> a mod f and a, b -> a·b mod f: from degree 5 on by ``_barrett``'s packed
+mulmod (by X^(2n−1) div f, then per slot by ⌊2^s/p⌋; Barrett 1986), which factor's
+X^p and products share, and otherwise by long division.
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -39,10 +38,6 @@ from .errors import (BothZero, FieldMismatch, ParseError, PreconditionViolated,
 from .ff import FieldElem, PrimeField
 
 ZERO_DEGREE = float("-inf")
-
-# Degree from which _reducer takes the Newton inverse, not the Barrett kernel. factor's
-# benchmark inputs took 1.15/1.04/0.97/1.06 s a pass at 9/24/40/64 (CPython 3.11).
-_SIZE_SWITCH = 40
 
 _BYTE_ORDER = sys.byteorder
 _ARRAY_CODES = {array(code).itemsize: code for code in "QIHB"}
@@ -199,30 +194,20 @@ def _barrett(f: Sequence[int], p: int):
 
 
 def _reducer(f: Sequence[int], p: int):
-    # a -> a mod f, a, b -> a*b mod f. If n < len a < 2n: for 5 <= n < _SIZE_SWITCH the
-    # Barrett kernel (rem.kernel, else None), and from the switch on the Newton inverse.
+    # a -> a mod f, a, b -> a*b mod f: from degree n = 5 on by the Barrett kernel
+    # (rem.kernel, else None) if n < len a < 2n, and otherwise by long division.
     f = _monic(f, p)
     n = len(f) - 1
     # Kernel/division us, p = 11, 10007, 2^61 - 1: n = 5, a*b mod f 2.9/7.4, 3.4/8.0,
     # 8.4/13.8, a mod f 2.3/3.4, 2.7/4.0, 6.8/7.7; n = 4, a mod f 2.2/2.0, 2.5/2.9,
     # 5.7/4.8 (CPython 3.11, one process, best of 7).
-    kernel = _barrett(f, p) if 5 <= n < _SIZE_SWITCH else None
-    inv, prec = [1], 1
-    while n >= _SIZE_SWITCH and prec < n - 1:
-        prec = min(2 * prec, n - 1)
-        err = _mul(_mul(inv, inv, p), f[: n - prec : -1], p)[:prec]
-        inv = _sub(_mul_scalar(inv, 2, p), err, p)
+    kernel = _barrett(f, p) if n >= 5 else None
 
     def rem(a: Sequence[int], b: Sequence[int] | None = None) -> list[int]:
         if b is not None and not (kernel and max(len(a), len(b)) <= n):
             a, b = _mul(a, b, p), None
-        m = len(a) - n
-        if b is None and (not 0 < m < n or not kernel and n < _SIZE_SWITCH):
+        if b is None and not (kernel and 0 < len(a) - n < n):
             return _divmod(a, f, p)[1]
-        if n >= _SIZE_SWITCH:
-            q_rev = _mul(a[: n - 1 : -1], inv[:m], p)[:m]
-            q = [0] * (m - len(q_rev)) + q_rev[::-1]
-            return _sub(a[:n], _mul(q, f, p)[:n], p)
         k, mulmod = kernel
         x = _pack(a, k)
         z = mulmod(x, 1 if b is None else x if b is a else _pack(b, k))
@@ -270,7 +255,7 @@ def _xgcd(a, b, p):
 
 
 def _pow_mod(base: Sequence[int], k: int, rem, p: int) -> list[int]:
-    # rem is a prebuilt _reducer of the modulus, so callers reuse its inverse.
+    # rem is a prebuilt _reducer of the modulus, so callers reuse its Barrett kernel.
     result = rem([1])
     acc = rem(base)
     while k:

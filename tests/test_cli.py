@@ -70,6 +70,22 @@ def test_certify_refuses_a_repeated_key(tmp_path, capsys):
     assert "repeats key 'e'" in capsys.readouterr().err
 
 
+def test_certify_refuses_a_4001_digit_modulus_at_once(tmp_path, capsys):
+    # The modulus is checked against 2^61 before Miller-Rabin, whose cost grows
+    # with the number read.
+    cert_file = tmp_path / "cert.txt"
+    run(["construct", "-p", "7", "-a", "X+1", "-b", "1", "-n", "9",
+         "-o", str(cert_file)])
+    lines = cert_file.read_text().splitlines()
+    huge = f"modulus: {10**4000 + 1}"
+    cert_file.write_text("\n".join(huge if line.startswith("modulus:") else line
+                                    for line in lines) + "\n")
+    start = time.perf_counter()
+    assert run(["certify", "--cert", str(cert_file)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "2^61" in capsys.readouterr().err
+
+
 def test_factor_rejects_huge_exponent(capsys):
     # "X^1000000000" would be a dense list of 10^9 + 1 coefficients.
     start = time.perf_counter()

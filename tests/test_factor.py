@@ -319,8 +319,9 @@ def test_large_modulus_end_to_end():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
-    # X^p mod f and the rows X^(i*p) mod f, by multiply-by-X steps and by
-    # mulmods, on both sides of poly's size switch; pow_mod is the oracle.
+    # X^p mod f and the rows X^(i*p) mod f, by multiply-by-X steps and by squarings
+    # and the linear map g -> X^p * g, below and above degree 5, where poly's Barrett
+    # kernel starts; pow_mod is the oracle.
     import progressio.factor as fmod
     from progressio.poly import _reducer
 
@@ -330,10 +331,10 @@ def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
         f = [rng.randrange(p) for _ in range(n)] + [1]
         rem = _reducer(f, p)
         routes = []
-        for switch in (p + 1, p):  # shift steps, then mulmods
+        for switch in (p + 1, p):  # shift steps, then the linear map
             monkeypatch.setattr(fmod, "_SHIFT_SWITCH", switch)
             xp = fmod._xp(f, rem, p)
-            routes.append((xp, fmod._frobenius_rows(xp, f, rem, p)))
+            routes.append((xp, fmod._frobenius_rows(xp, f, p)))
         assert routes[0] == routes[1]
         xp, rows = routes[0]
         modulus = Poly(field, f)
@@ -515,9 +516,9 @@ def test_frobenius_data_built_once_per_squarefree_part(monkeypatch):
     built = []
     frobenius_rows, xp_ = fmod._frobenius_rows, fmod._xp
 
-    def count_rows(xp, f, rem, p):
+    def count_rows(xp, f, p):
         built.append("rows")
-        return frobenius_rows(xp, f, rem, p)
+        return frobenius_rows(xp, f, p)
 
     def count_xp(f, rem, p):
         built.append("xp")

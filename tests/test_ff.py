@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -30,6 +31,17 @@ def test_field_new_rejects_oversized():
     assert is_prime(BIG_PRIME_OVER_LIMIT)
     with pytest.raises(OutOfRange):
         PrimeField(BIG_PRIME_OVER_LIMIT)
+
+
+def test_field_new_checks_the_range_before_primality():
+    # Miller-Rabin took seconds on 10^4000 + 1; the range check refuses it first. The
+    # message names the bit length, as 1 << 20000 is past int-to-str's digit limit.
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange):
+        PrimeField(10**4000 + 1)
+    with pytest.raises(OutOfRange, match="20001 bits"):
+        PrimeField(1 << 20000)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_is_prime_small_table():

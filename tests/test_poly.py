@@ -23,7 +23,6 @@ from progressio.errors import (
     ZeroPolynomial,
 )
 from progressio.poly import (
-    _SIZE_SWITCH,
     Poly,
     _compose_mod,
     _deriv,
@@ -174,7 +173,7 @@ def test_mul_matches_convolution_oracle():
 
 
 def test_mul_above_split_threshold():
-    # long operands of unequal length, far above the size switch
+    # long operands of unequal length, far above the multiply crossover
     rng = random.Random(29)
     field = PrimeField(101)
     for _ in range(8):
@@ -191,12 +190,12 @@ def test_mul_matches_convolution_across_the_size_switch():
     # to 8 bytes, la*lb = 5(la + lb) with wider ones, as at 2^61 - 1), unbalanced
     # pairs such as 2 x 128 and 5 x 65, and squares (one packed operand).
     rng = random.Random(37)
-    lengths = [1, 2, 4, 5, 6, _SIZE_SWITCH - 1, _SIZE_SWITCH, _SIZE_SWITCH + 1, 64, 128, 300]
+    lengths = [1, 2, 4, 5, 6, 39, 40, 41, 64, 128, 300]
     crossover = [(2, 14), (2, 15), (3, 10), (5, 6), (4, 8), (5, 65), (65, 5), (4, 65),
                  (8, 65), (8, 8), (10, 10), (12, 12), (6, 30), (6, 31)]
     for p in KERNEL_MODULI:
         field = PrimeField(p)
-        pairs = [(2, 128), (128, 2), (_SIZE_SWITCH, 300)] + crossover + [
+        pairs = [(2, 128), (128, 2), (40, 300)] + crossover + [
             (rng.choice(lengths), rng.choice(lengths)) for _ in range(6)
         ]
         for la, lb in pairs:
@@ -205,7 +204,7 @@ def test_mul_matches_convolution_across_the_size_switch():
             assert f * g == naive_mul(f, g), (p, la, lb)
         f = rand_poly(rng, field, 150)
         assert f * f == naive_mul(f, f)
-        for n in (5, 6, _SIZE_SWITCH, 64, 200):
+        for n in (5, 6, 40, 64, 200):
             top = Poly(field, [p - 1] * n)  # every slot at its largest sum
             assert top * top == naive_mul(top, top)
         for terms in range(1, 1000):
@@ -217,7 +216,7 @@ def test_divmod_identity_below_and_above_the_switch():
     rng = random.Random(41)
     for p in KERNEL_MODULI:
         field = PrimeField(p)
-        for deg_b in (1, _SIZE_SWITCH - 1, _SIZE_SWITCH, 40, 130):
+        for deg_b in (1, 39, 40, 40, 130):
             lead = rng.randrange(1, p)
             b = Poly(field, [rng.randrange(p) for _ in range(deg_b)] + [lead])
             rem = _reducer(list(b.coeffs), p)
@@ -256,29 +255,33 @@ def test_linear_map_matches_a_naive_sum():
 
 
 def test_remainder_table_matches_long_division():
-    # Every input length 0..2n+1 for f of degree 1..8, monic or not: the Barrett kernel
-    # serves 5 <= n < len a < 2n, long division the rest. Inputs of all p - 1 put every
-    # slot at p - 1.
+    # Input lengths 0..2n+1 (every one up to n = 9, then the ends of each range and one
+    # between) for f of degree 1..128, monic or not: the Barrett kernel serves
+    # 5 <= n < len a < 2n, long division the rest. Inputs of all p - 1 put every slot
+    # at p - 1.
     rng = random.Random(47)
     for p in KERNEL_MODULI:
         field = PrimeField(p)
-        for n in range(1, _SIZE_SWITCH):
+        for n in (*range(1, 10), 12, 16, 24, 39, 40, 41, 64, 128):
             moduli = [[rng.randrange(p) for _ in range(n)] + [1], [p - 1] * n + [1]]
             if p > 2:
                 moduli += [[rng.randrange(p) for _ in range(n)] + [rng.randrange(2, p)],
                            [p - 1] * (n + 1)]
+            lengths = range(2 * n + 2) if n < 10 else (
+                0, 1, n - 1, n, n + 1, rng.randrange(n + 2, 2 * n - 1),
+                2 * n - 1, 2 * n, 2 * n + 1)
             for f in moduli:
                 rem = _reducer(f, p)
-                for length in range(2 * n + 2):
+                for length in lengths:
                     for a in ([rng.randrange(p) for _ in range(length)], [p - 1] * length):
                         want = divmod(Poly(field, a), Poly(field, f))[1]
                         assert Poly(field, rem(a)) == want, (p, f, length)
 
 
 def test_packed_product_matches_long_division():
-    # rem(x, y) = x*y mod f for f of degree 1..12: the Barrett kernel for 5 <= n below
-    # the switch, a product and then a remainder elsewhere or for an unreduced
-    # operand. Operands of all p - 1 fill each product slot to n(p - 1)^2.
+    # rem(x, y) = x*y mod f for f of degree 1..12: the Barrett kernel from n = 5 on, a
+    # product and then a remainder below it or for an unreduced operand. Operands of
+    # all p - 1 fill each product slot to n(p - 1)^2.
     rng = random.Random(67)
     for p in (2, 3, 11, 10007, (1 << 61) - 1):
         for n in range(1, 13):
@@ -295,9 +298,9 @@ def test_packed_product_matches_long_division():
 
 
 def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
-    # _reducer builds the kernel once, when it is made, for f of degree 5 up to the size
-    # switch only, monic or not; it serves 8 < len a < 16 at n = 8, long division the
-    # other lengths.
+    # _reducer builds the kernel once, when it is made, for f of degree 5 and up only,
+    # monic or not; it serves 8 < len a < 16 at n = 8, long division the other
+    # lengths.
     import progressio.poly as pmod
 
     built = []
@@ -307,9 +310,12 @@ def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
     for p in KERNEL_MODULI:
         field = PrimeField(p)
         for lead in (1, 2) if p > 2 else (1,):
-            for n in (4, _SIZE_SWITCH):
-                _reducer([rng.randrange(p) for _ in range(n)] + [lead], p)
+            _reducer([rng.randrange(p) for _ in range(4)] + [lead], p)
             assert not built, (p, lead)
+            for n in (5, 40, 64):
+                _reducer([rng.randrange(p) for _ in range(n)] + [lead], p)
+                assert len(built) == 1, (p, lead, n)
+                built.clear()
             f = [rng.randrange(p) for _ in range(8)] + [lead]
             rem = _reducer(f, p)
             assert len(built) == 1, (p, lead)
@@ -320,47 +326,50 @@ def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
             built.clear()
 
 
-BARRETT_MODULI = (11, 13, 101, 10007, (1 << 31) - 1, (1 << 61) - 1)
+BARRETT_MODULI = (2, 3, 5, 11, 13, 101, 10007, (1 << 31) - 1, (1 << 61) - 1)
 
 
-def _check_mulmod(p, f, a, b):
-    # The kernel of _reducer(f) on slots a, b (residues up to 3p - 1): the result is
-    # a*b mod f, each slot in [0, 2p), and nothing spills above slot n - 1.
-    n = len(f) - 1
+def _check_mulmod(p, f, pairs):
+    # The kernel of _reducer(f), built once, on slots a, b (residues up to 3p - 1) of
+    # each pair: the result is a*b mod f, each slot in [0, 2p), and nothing spills
+    # above slot n - 1.
+    n, monic = len(f) - 1, _monic(f, p)
     k, mulmod = _reducer(f, p).kernel
-    x = _pack(a, k)
-    z = mulmod(x, x if a is b else _pack(b, k))
-    slots = _unpack(z, k, n + 1, 1 << 8 * k)  # raw slots, no reduction
-    assert slots[n] == 0 and max(slots) < 2 * p, (p, f, a, b, slots)
-    want = _divmod(_mul(_trim([c % p for c in a]), _trim([c % p for c in b]), p),
-                   _monic(f, p), p)[1]
-    assert _trim([v % p for v in slots]) == want, (p, f, a, b)
+    for a, b in pairs:
+        x = _pack(a, k)
+        z = mulmod(x, x if a is b else _pack(b, k))
+        slots = _unpack(z, k, n + 1, 1 << 8 * k)  # raw slots, no reduction
+        assert slots[n] == 0 and max(slots) < 2 * p, (p, f, a, b, slots)
+        want = _divmod(_mul(_trim([c % p for c in a]), _trim([c % p for c in b]), p),
+                       monic, p)[1]
+        assert _trim([v % p for v in slots]) == want, (p, f, a, b)
 
 
 def test_barrett_mulmod_matches_long_division():
     # Operands at the top of the redundant range: every slot 2p - 1, and slot 0 at
     # 3p - 1 as after factor's Horner step; zero; x is y; x times x*X (n + 1 slots) as
     # in factor's X^p. Moduli monic or not, with low coefficients random, all p - 1
-    # (the quotient times f at its largest) and X^n + c (at its smallest).
+    # (the quotient times f at its largest) and X^n + c (at its smallest). _reducer
+    # makes f monic before the kernel sees it, so above n = 64 only monic f are drawn.
     rng = random.Random(73)
     for p in BARRETT_MODULI:
-        for n in range(5, _SIZE_SWITCH):
-            for lead in (1, rng.randrange(2, p)):
+        for n in (5, 6, 7, 8, 9, 12, 16, 24, 39, 40, 64, 128, 256):
+            for lead in (1, rng.randrange(2, p)) if p > 2 and n <= 64 else (1,):
                 for low in ([rng.randrange(p) for _ in range(n)], [p - 1] * n,
                             [rng.randrange(1, p)] + [0] * (n - 1)):
                     top = [2 * p - 1] * n
                     horner = [3 * p - 1] + top[1:]
                     x, y = ([rng.randrange(2 * p) for _ in range(n)] for _ in "xy")
-                    for a, b in ((top, top), (horner, top), (top, horner), (horner, horner),
-                                 (top, [0] + top), (x, [0] + x), (x, y), (x, x),
-                                 ([], top), (horner, []), ([1], y)):
-                        _check_mulmod(p, low + [lead], a, b)
+                    _check_mulmod(p, low + [lead], (
+                        (top, top), (horner, top), (top, horner), (horner, horner),
+                        (top, [0] + top), (x, [0] + x), (x, y), (x, x), ([], top),
+                        (horner, []), ([1], y)))
 
 
 @st.composite
 def _kernel_operands(draw):
     p = draw(st.sampled_from(BARRETT_MODULI))
-    n = draw(st.integers(5, _SIZE_SWITCH - 1))
+    n = draw(st.integers(5, 128))
     f = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     f.append(draw(st.integers(1, p - 1)))
     a, b = (draw(st.lists(st.integers(0, 2 * p - 1), min_size=n, max_size=n)) for _ in "ab")
@@ -371,14 +380,15 @@ def _kernel_operands(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_kernel_operands())
 def test_barrett_mulmod_property(case):
-    _check_mulmod(*case)
+    p, f, a, b = case
+    _check_mulmod(p, f, [(a, b)])
 
 
 def test_pow_mod_matches_repeated_multiplication():
     rng = random.Random(43)
     for p in KERNEL_MODULI:
         field = PrimeField(p)
-        for deg_m in (3, _SIZE_SWITCH, 33):
+        for deg_m in (3, 40, 33):
             m = Poly(field, [rng.randrange(p) for _ in range(deg_m)] + [1])
             base = rand_poly(rng, field, deg_m + 5)
             acc = Poly.one(field)
@@ -434,7 +444,7 @@ def test_resultant_matches_the_sylvester_determinant():
 @st.composite
 def _operands(draw):
     p = draw(st.sampled_from(KERNEL_MODULI))
-    coeffs = st.lists(st.integers(0, p - 1), max_size=3 * _SIZE_SWITCH)
+    coeffs = st.lists(st.integers(0, p - 1), max_size=120)
     a, b = draw(coeffs), draw(coeffs)
     b.append(draw(st.integers(1, p - 1)))  # a nonzero modulus
     return PrimeField(p), a, b
