@@ -13,10 +13,10 @@ irreducible (the n-cycle proportion), so an exhaustive scan over the
 p - 1 nonzero scales should find about p/n hits. About 1 - D_n/n! of them (D_n the
 derangements) have a root x, so are reducible (n >= 2); as alpha = -a(x)/bc(x), one
 pass over F_p marks those, a byte each, so p - 1 is capped at the exhaustive guard.
-The exhaustive scan sieves c0 the same way, per h. On a line base + t*direction, 2n - 1
-resultants fix Disc(t), of degree <= 2n - 2, which marks about half the rest
-(``_disc_admits``). One kernel walks all three searches; the sieved two skip the test's
-resultant and root gcd.
+On a line base + t*direction, 2n - 1 resultants fix Disc(t), of degree <= 2n - 2, which
+marks about half the rest (``_disc_admits``) before the test. The exhaustive scan sieves
+as Eratosthenes did (Rosen, GTM 210, ch. 4): the c with g | a + b*c are one class mod g;
+once each irreducible g of degree <= n/2 marks it, the rest of degree n are irreducible.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, islice, product
+from operator import add
 
 from ._par import run_chunked, split_range, worker_count
 from .construct import Pencil, StableCertificate, build_stable, verify_certificate
 from .errors import PreconditionViolated, TooLarge
 from .factor import _disc_admits, _discriminant, _rabin_irreducible
-from .poly import Poly, _add, _divmod, _eval, _mul, _mul_scalar, format_poly
+from .poly import Poly, _add, _divmod, _eval, _mul, _mul_scalar, _sub, _xgcd, format_poly
 
 _EXHAUSTIVE_GUARD = 10**7
 
@@ -95,8 +96,8 @@ def search_constructed(a: Poly, b: Poly, n: int, max_hits: int = 16) -> SearchRe
 def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     """Try every c with deg c = n - deg b; a desk-scale brute-force oracle.
 
-    With c = c0 + X*h, the members base + c0*b of one h, base = a + b*X*h, form a line
-    that one root sieve and its discriminant sieve mark; for n >= 2 those skip the test.
+    ``_factor_sieve`` marks each c whose member has a factor of degree <= top. At
+    top = n/2 the rest of degree n are the hits, untested; else ``_line_scan`` tests them.
     """
     Pencil(a, b)
     p = a.field.modulus
@@ -106,19 +107,58 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     # p >= 2, so p^(deg_c + 1) exceeds the guard once deg_c reaches its bit length.
     if deg_c >= _EXHAUSTIVE_GUARD.bit_length() or p ** (deg_c + 1) > _EXHAUSTIVE_GUARD:
         raise TooLarge(f"{p}^{deg_c + 1} candidate space exceeds the guard")
-    b_c = list(b.coeffs)
-    # c = c0 + X*h, c0 fastest (code sum order); h: higher digits, lead last, or ().
-    highs = product(range(1, p), *[range(p)] * (deg_c - 1)) if deg_c else [()]
-    c0s = range(0 if deg_c else 1, p)
-    inverses = list(_neg_inverses(b_c, p)) if deg_c else _neg_inverses(b_c, p)  # reused
+    top = min(n // 2, max(1, deg_c))  # n // 2 whenever deg b <= (n + 1) // 2
+    marks = _factor_sieve(p, a.coeffs, b.coeffs, deg_c, top)
+    powers = [p**j for j in range(deg_c + 1)]
     hits = []
-    for top in highs:
-        h = top[::-1]
-        base = _add(a.coeffs, [0, *_mul(b_c, h, p)], p)  # b(x) = 0: base(x) = a(x) != 0
-        marks = _root_sieve(base, inverses, p)[c0s.start :] if n >= 2 else None
-        for c0, member in _line_scan(p, n, base, b_c, c0s, marks):
-            hits.append((a._wrap([c0, *h]), a._wrap(member)))
-    return _report(a, b, n, "exhaustive", hits, (p - 1) * p**deg_c)
+    if top == n // 2:  # a reducible member of degree n has a factor of degree <= n/2
+        for i in compress(range(len(marks)), map((0).__eq__, marks)):
+            c = [(i + powers[-1]) // q % p for q in powers]  # the digits of idx + p^deg_c
+            member = _add(a.coeffs, _mul(b.coeffs, c, p), p)
+            if len(member) == n + 1:
+                hits.append((a._wrap(c), a._wrap(member)))
+    else:  # per h = c // X, the line base + c0*b, base = a + b*X*h, and its marks
+        c0s = range(0 if deg_c else 1, p)
+        for i in range(0, len(marks), p):
+            h = [(i + powers[-1]) // q % p for q in powers[1:]]
+            base = _add(a.coeffs, [0, *_mul(b.coeffs, h, p)], p)
+            for c0, member in _line_scan(p, n, base, b.coeffs, c0s, marks[i : i + p]):
+                hits.append((a._wrap([c0, *h]), a._wrap(member)))
+    return _report(a, b, n, "exhaustive", hits, len(marks))
+
+
+def _factor_sieve(p, a, b, deg_c, top) -> bytearray:
+    # A byte per c of degree deg_c, at idx(c) = sum c_i*p^i - p^deg_c, set where a monic
+    # irreducible g of degree d <= top divides a + b*c, i.e. c = r = -a/b mod g (g | b
+    # divides none). At deg_c = 0 that is the root sieve. Else c = H*X^d + L, L = (r -
+    # H*X^d) mod g, and idx(c) = p^d*idx(H) + sum L_i*p^i. Per block of H's k fastest
+    # digits T, cols[i][t] = (-T*X^d mod g)_i for the t-th T; the rest of H moves r to low.
+    if deg_c == 0:
+        return _root_sieve(a, _neg_inverses(b, p) if top else (), p)[1:]
+    marks = bytearray((p - 1) * p**deg_c)
+    for g in ([*v, 1] for d in range(1, top + 1) for v in product(range(p), repeat=d)):
+        b_g = _divmod(b, g, p)[1]
+        # Looked up per call as this module's global: tracers rebind _rabin_irreducible.
+        if not b_g or len(g) > 2 and not _rabin_irreducible(g, p):
+            continue
+        r = _divmod(_mul(_sub([], a, p), _xgcd(b_g, g, p)[1], p), g, p)[1]
+        d, m = len(g) - 1, deg_c - len(g) + 1
+        k = max(1, min(m + 1, (m + 3) // 2, 12 // p.bit_length()))  # p^k <= max(p, 4096)
+        cols = [[0]] * d
+        for j in range(k):  # H's lead is nonzero
+            w = _divmod([0] * (d + j) + [1], g, p)[1] + [0] * d
+            cols = [[(x - s * wi) % p for s in range(j == m, p) for x in col]
+                    for col, wi in zip(cols, w)]
+        for first in range(0, (p - 1) * p**m, len(cols[0])):  # idx(H), block by block
+            high = [0] * (d + k) + [(first + p**m) // p**j % p for j in range(k, m + 1)]
+            low = _divmod(_sub(r, high, p), g, p)[1] + [0] * d
+            spots = range(p**d * first, p**d * (first + len(cols[0])), p**d)
+            for i, (col, li) in enumerate(zip(cols, low)):
+                row = [(li + x) % p * p**i for x in range(p)]
+                spots = map(add, spots, map(row.__getitem__, col))
+            for spot in spots:
+                marks[spot] = 1
+    return marks
 
 
 def _line_scan(p, n, base, direction, scales, marks=None, disc=None):

@@ -52,10 +52,11 @@ class PrimeField:
     __slots__ = ("modulus",)
 
     def __init__(self, modulus: int):
+        bits = modulus.bit_length() if isinstance(modulus, int) else 0  # names a long int
         if isinstance(modulus, int) and modulus >= MAX_MODULUS:
-            raise OutOfRange(f"modulus must be < 2^61, got {modulus.bit_length()} bits")
+            raise OutOfRange(f"modulus must be < 2^61, got {bits} bits")
         if not isinstance(modulus, int) or not is_prime(modulus):
-            raise NotPrime(f"{modulus} is not prime")
+            raise NotPrime(f"{modulus if bits <= 64 else f'a {bits}-bit int'} is not prime")
         object.__setattr__(self, "modulus", modulus)
 
     @property

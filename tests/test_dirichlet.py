@@ -120,12 +120,13 @@ def test_search_constructed_matches_the_plain_loop(p, n, max_hits):
 def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
     # The flag follows from whether the caller sieved; the kernel looks the test
     # up as dirichlet's global, so rebinding that alias sees every member. A sieved
-    # scan tests exactly its members with no root whose discriminant is nonzero and,
-    # for odd p, of character (-1)^(n-1); the oracle for both is brute force.
+    # scan tests exactly its members with no root (no factor of degree <= 2 for the
+    # exhaustive search) whose discriminant is nonzero and, for odd p, of character
+    # (-1)^(n-1); the oracle for both is brute force.
     calls = []
     test = dirichlet._rabin_irreducible
 
-    def recorded(f, p, sieved):
+    def recorded(f, p, sieved=False):
         calls.append((tuple(f), sieved))
         return test(f, p, sieved)
 
@@ -137,11 +138,15 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
         assert calls
         return {sieved for _, sieved in calls}
 
-    def admitted(f, p):
+    def admitted(f, p, top=1):
+        # top = 2: no factor of degree 1 or 2, i.e. gcd(f, X^(p^2) - X) = 1
         n = len(f) - 1
-        if any(_eval(f, x, p) == 0 for x in range(p)):
-            return False
         g = Poly(PrimeField(p), f).monic()
+        x = Poly.x(g.field)
+        if top == 1 and any(_eval(f, t, p) == 0 for t in range(p)):
+            return False
+        if top == 2 and gcd(g, pow_mod(x, p * p, g) - x).degree > 0:
+            return False
         d = (-1) ** (n * (n - 1) // 2) * _resultant(g.coeffs, g.derivative().coeffs, p) % p
         return d != 0 and (p == 2 or pow(d, (p - 1) // 2, p) == (-1) ** (n - 1) % p)
 
@@ -152,24 +157,41 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
     bc = cert.b * cert.c
     members = [(cert.a + alpha * bc).coeffs for alpha in range(1, 101)]
     assert [f for f, _ in calls] == [f for f in members if admitted(f, 101)]
-    # b = 1 and n >= 2: c -> X + 1 + c meets every polynomial of degree n once.
+    # b = 1: the factor sieve settles every member, and only the g of degree 2..n/2
+    # that it enumerates meet the test, unsieved.
     for p, n in ((2, 4), (2, 6), (3, 2), (3, 5), (5, 2), (5, 4), (7, 3)):
         F = PrimeField(p)
-        assert flags_of(search_exhaustive, parse_poly(F, "X+1"), Poly.one(F), n) == {True}
-        polys = [(*c, lead) for lead in range(1, p)
-                 for c in itertools.product(range(p), repeat=n)]
-        assert sorted(f for f, _ in calls) == sorted(f for f in polys if admitted(f, p))
-    # n = 1 is not sieved: every linear member is rooted.
-    assert flags_of(search_exhaustive, parse_poly(F5, "X+3"), Poly.one(F5), 1) == {False}
+        calls.clear()
+        search_exhaustive(parse_poly(F, "X+1"), Poly.one(F), n)
+        assert all(2 < len(f) <= n // 2 + 1 and not sieved for f, sieved in calls)
+    # deg b = 4 > n/2 at n = 6: the sieve stops at degree 2, and each line tests
+    # its members that no factor of degree <= 2 divides and whose Disc is admitted.
+    # Lines of 3 members take one resultant each; lines of 13 >= 2n interpolate Disc.
+    for p, b_text in ((3, "X^4+X^2+2"), (13, "X^4+2")):
+        F = PrimeField(p)
+        a_p, b_p = parse_poly(F, "X+1"), parse_poly(F, b_text)
+        flags_of(search_exhaustive, a_p, b_p, 6)
+        tested = [(f, sieved) for f, sieved in calls if len(f) == 7]
+        assert {sieved for _, sieved in tested} == {True}
+        assert all(len(f) == 3 and not sieved for f, sieved in calls if len(f) != 7)
+        polys = [(a_p + b_p * Poly(F, [*low, lead])).coeffs for lead in range(1, p)
+                 for low in itertools.product(range(p), repeat=2)]
+        assert sorted(f for f, _ in tested) == sorted(f for f in polys if admitted(f, p, 2))
+    # n = 1: every linear member is irreducible, and none is tested.
+    calls.clear()
+    search_exhaustive(parse_poly(F5, "X+3"), Poly.one(F5), 1)
+    assert calls == []
     assert flags_of(search_constructed, a, b, 7, max_hits=3) == {False}
 
 
 def test_sieved_members_skip_the_root_gcd(monkeypatch):
-    # Up to degree 8 a sieved member costs one resultant, res(f, f'), and no
-    # root gcd: the root sieve stands in for it, and res(f, f') != 0 proves f
-    # squarefree. On lines of p = 3 points the discriminant sieve makes that
-    # resultant per member, so the test itself makes none. From degree 6 on its one
-    # gcd is with X^(p^2) - X.
+    # On the complete route no member of degree n meets the test or a resultant: the
+    # factor sieve settles them all, and only the g of degree <= n/2 that it enumerates
+    # are tested. On the partial route, up to degree 8 a sieved member costs one
+    # resultant, res(f, f'), and no root gcd: the sieve stands in for it, and
+    # res(f, f') != 0 proves f squarefree. On lines of p = 3 points the discriminant
+    # sieve makes that resultant per member, so the test itself makes none. From degree
+    # 6 on its one gcd is with X^(p^2) - X.
     import progressio.factor as fmod
 
     gcds, resultants = [], []
@@ -189,14 +211,21 @@ def test_sieved_members_skip_the_root_gcd(monkeypatch):
     report = search_exhaustive(parse_poly(F3, "X+1"), Poly.one(F3), n)
     assert len(report.hits) == (p - 1) * count_irreducibles(p, n)
     assert report.scanned == (p - 1) * p**n
-    members = [Poly(F3, [*c, lead]) for lead in (1, 2)
-               for c in itertools.product(range(p), repeat=n)]
-    tested = [m for m in members if all(_eval(m.coeffs, x, p) for x in range(p))]
-    assert sorted(resultants) == sorted(m.monic().coeffs for m in tested)
+    assert resultants and all(len(f) <= n // 2 + 1 for f in resultants)
+    assert all(len(f) <= n // 2 + 1 for _, f in gcds)
+    gcds.clear()
+    resultants.clear()
+    a, b = parse_poly(F3, "X+1"), parse_poly(F3, "X^4+X^2+2")
+    search_exhaustive(a, b, n)
+    members = [a + b * Poly(F3, [*low, lead]) for lead in (1, 2)
+               for low in itertools.product(range(p), repeat=2)]
     x = Poly.x(F3)
-    admitted = [m.monic() for m in tested
+    left = [m for m in members if gcd(m, pow_mod(x, p * p, m) - x).degree == 0]
+    assert sorted(f for f in resultants if len(f) == n + 1) == sorted(
+        m.monic().coeffs for m in left)
+    admitted = [m.monic() for m in left
                 if fmod._disc_admits(fmod._discriminant(m.coeffs, p), n, p)]
-    assert sorted(gcds) == sorted(
+    assert sorted(g for g in gcds if len(g[1]) == n + 1) == sorted(
         ((pow_mod(x, p * p, m) - x).coeffs, m.coeffs) for m in admitted)
 
 
@@ -233,11 +262,19 @@ def test_search_exhaustive_small_scale():
     (5, "X+3", "1", 1),  # n = 1: rooted members are the hits
     (7, "2", "X+3", 1),  # n = 1 and deg c = 0
     (7, "3*X^2+1", "X+2", 2),
+    (2, "X+1", "1", 9),  # b = 1: the factor sieve alone, up to degree 4
+    (3, "X+1", "X^4+X^2+2", 6),  # deg b > n/2: lines scanned with the sieve's marks
+    (13, "X+1", "X^4+2", 6),  # lines of 13 >= 2n members interpolate Disc(t)
+    (5, "X+1", "X^7+2", 10),
 ])
 def test_search_exhaustive_matches_the_plain_loop(p, a, b, n):
-    # Unsieved reference: every c in order (lead, then the code sum c_0 + p*c_1 + ...).
     field = PrimeField(p)
-    a, b = parse_poly(field, a), parse_poly(field, b)
+    _assert_plain_loop(parse_poly(field, a), parse_poly(field, b), n)
+
+
+def _assert_plain_loop(a, b, n):
+    # Unsieved reference: every c in order (lead, then the code sum c_0 + p*c_1 + ...).
+    field, p = a.field, a.field.modulus
     deg_c = n - int(b.degree)
     hits, scanned = [], 0
     for lead in range(1, p):
@@ -250,6 +287,48 @@ def test_search_exhaustive_matches_the_plain_loop(p, a, b, n):
     report = search_exhaustive(a, b, n)
     assert list(report.hits) == hits
     assert report.scanned == scanned
+
+
+def test_search_exhaustive_matches_the_plain_loop_on_random_pencils():
+    # 60 coprime pencils, both routes: deg a up to n, so the lead can cancel, and b
+    # sometimes a multiple of X^p - X, which vanishes on all of F_p.
+    rng = random.Random(2)  # 12 of the 60 take the line route, 8 a vanishing b
+    cases = 0
+    while cases < 60:
+        p, n = rng.choice((2, 3, 5, 7, 13)), rng.randint(1, 8)
+        deg_b = rng.randint(0, n - 1)
+        if p ** (n - deg_b + 1) > 2500:
+            continue
+        field = PrimeField(p)
+        b = Poly(field, [rng.randrange(p) for _ in range(deg_b)] + [rng.randrange(1, p)])
+        if p < 4 and deg_b >= p and rng.random() < 0.7:
+            vanishing = Poly(field, [0, p - 1] + [0] * (p - 2) + [1])  # X^p - X
+            b = vanishing * Poly(field, [rng.randrange(1, p) for _ in range(deg_b - p)] + [1])
+        deg_a = rng.randint(0, n)
+        a = Poly(field, [rng.randrange(p) for _ in range(deg_a)] + [rng.randrange(1, p)])
+        if gcd(a, b).degree != 0:
+            continue
+        cases += 1
+        _assert_plain_loop(a, b, n)
+
+
+@pytest.mark.parametrize("p, n", [(2, 9), (3, 8), (5, 6), (7, 4)])
+def test_complete_route_tests_only_the_sieve_moduli(monkeypatch, p, n):
+    # b = 1 sieves up to D = n/2: the test sees only monic g of degree 2..D, at most
+    # sum p^d of them, and never a member.
+    degrees = []
+    test = dirichlet._rabin_irreducible
+
+    def counted(f, q, sieved=False):
+        degrees.append(len(f) - 1)
+        return test(f, q, sieved)
+
+    monkeypatch.setattr(dirichlet, "_rabin_irreducible", counted)
+    field = PrimeField(p)
+    report = search_exhaustive(parse_poly(field, "X+1"), Poly.one(field), n)
+    assert len(report.hits) == (p - 1) * count_irreducibles(p, n)
+    assert len(degrees) <= sum(p**d for d in range(2, n // 2 + 1))
+    assert set(degrees) <= set(range(2, n // 2 + 1))
 
 
 def test_search_exhaustive_no_admissible_c():

@@ -44,6 +44,18 @@ def test_field_new_checks_the_range_before_primality():
     assert time.perf_counter() - start < 0.1
 
 
+def test_field_new_names_a_long_composite_by_its_bit_length():
+    # -(10^5000) has more digits than int-to-str prints, so the message gives its bits.
+    start = time.perf_counter()
+    with pytest.raises(NotPrime, match="16610-bit"):
+        PrimeField(-(10**5000))
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(NotPrime, match="^9 is not prime$"):
+        PrimeField(9)
+    with pytest.raises(NotPrime, match="^-7 is not prime$"):
+        PrimeField(-7)
+
+
 def test_is_prime_small_table():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
