@@ -148,7 +148,7 @@ def _selftest_suites(level: str):
             g = Poly(field, [rng.randrange(p) for _ in range(rng.randrange(1, 151))])
             if f * g != naive_mul(f, g):
                 return False
-            n = rng.randrange(5, 65)
+            n = rng.randrange(1, 65)
             m = Poly(field, [rng.randrange(p) for _ in range(n)] + [1])
             f, g = (Poly(field, [rng.randrange(p) for _ in range(n)]) for _ in "fg")
             product = _reducer(m.coeffs, p)(f.coeffs, g.coeffs)  # the Barrett mulmod

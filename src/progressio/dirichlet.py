@@ -17,6 +17,7 @@ On a line base + t*direction, 2n - 1 resultants fix Disc(t), of degree <= 2n - 2
 marks about half the rest (``_disc_admits``) before the test. The exhaustive scan sieves
 as Eratosthenes did (Rosen, GTM 210, ch. 4): the c with g | a + b*c are one class mod g;
 once each irreducible g of degree <= n/2 marks it, the rest of degree n are irreducible.
+The sieve stops at degree deg c, so for deg b > (n + 1) // 2 the rest are each tested.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     """Try every c with deg c = n - deg b; a desk-scale brute-force oracle.
 
     ``_factor_sieve`` marks each c whose member has a factor of degree <= top. At
-    top = n/2 the rest of degree n are the hits, untested; else ``_line_scan`` tests them.
+    top = n/2 the rest of degree n are the hits, untested; else each is tested.
     """
     Pencil(a, b)
     p = a.field.modulus
@@ -111,19 +112,13 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     marks = _factor_sieve(p, a.coeffs, b.coeffs, deg_c, top)
     powers = [p**j for j in range(deg_c + 1)]
     hits = []
-    if top == n // 2:  # a reducible member of degree n has a factor of degree <= n/2
-        for i in compress(range(len(marks)), map((0).__eq__, marks)):
-            c = [(i + powers[-1]) // q % p for q in powers]  # the digits of idx + p^deg_c
-            member = _add(a.coeffs, _mul(b.coeffs, c, p), p)
-            if len(member) == n + 1:
-                hits.append((a._wrap(c), a._wrap(member)))
-    else:  # per h = c // X, the line base + c0*b, base = a + b*X*h, and its marks
-        c0s = range(0 if deg_c else 1, p)
-        for i in range(0, len(marks), p):
-            h = [(i + powers[-1]) // q % p for q in powers[1:]]
-            base = _add(a.coeffs, [0, *_mul(b.coeffs, h, p)], p)
-            for c0, member in _line_scan(p, n, base, b.coeffs, c0s, marks[i : i + p]):
-                hits.append((a._wrap([c0, *h]), a._wrap(member)))
+    for i in compress(range(len(marks)), map((0).__eq__, marks)):
+        c = [(i + powers[-1]) // q % p for q in powers]  # the digits of idx + p^deg_c
+        member = _add(a.coeffs, _mul(b.coeffs, c, p), p)
+        # At top = n/2 a reducible member of degree n is marked. _rabin_irreducible is
+        # looked up per call as this module's global: tracers rebind it.
+        if len(member) == n + 1 and (top == n // 2 or _rabin_irreducible(member, p)):
+            hits.append((a._wrap(c), a._wrap(member)))
     return _report(a, b, n, "exhaustive", hits, len(marks))
 
 
@@ -164,8 +159,6 @@ def _factor_sieve(p, a, b, deg_c, top) -> bytearray:
 def _line_scan(p, n, base, direction, scales, marks=None, disc=None):
     """Yield (t, member) per t: base + t*direction, irreducible of degree n."""
     sieved = marks is not None  # marks: a root-sieve byte per scale; disc: Disc(t)
-    if sieved and disc is None and len(scales) >= 2 * n:
-        disc = _line_disc(p, n, base, direction, scales)
     for t in compress(scales, map((0).__eq__, marks)) if sieved else scales:
         member = _add(base, _mul_scalar(direction, t, p), p)
         if len(member) != n + 1 or sieved and not _disc_admits(

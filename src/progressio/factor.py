@@ -1,11 +1,9 @@
 """Irreducibility testing and complete factorization over prime fields.
 
 Both read the Frobenius off X^p mod f: the rows X^(i*p) mod f, applied as poly's
-``_linear_map``, so no exponent grows with p^d. Below p = 8 (``_SHIFT_SWITCH``), X^p
-and each row X^p * row_(i-1) take p multiply-by-X steps of O(deg f) (CPython 3.11,
-deg 8-32: rows 1.1-2.8x faster at p <= 7, 1.3-2.3x slower at p = 11, 13); from 8 on,
-X^p is a squaring per bit of p plus a shift per 1 bit from X^(p >> s), p >> s < deg f,
-and a row is the linear map g -> X^p * g, whose rows come by shift steps, applied to
+``_linear_map``, so no exponent grows with p^d. X^p is a packed Barrett squaring per
+bit of p plus a shift per 1 bit from X^(p >> s), p >> s < deg f, and each row is the
+linear map g -> X^p * g, whose rows X^(p+i) come by multiply-by-X steps, applied to
 the one before. Both run Ben-Or's distinct-degree loop:
 gcd(X^(p^d) - X, f) is the product of the degree-d irreducible factors of f, and
 degrees d > 1 come in blocks [d, 2d) (Shoup 1995), one gcd with the product of the
@@ -58,8 +56,6 @@ from .poly import (
     format_poly,
 )
 
-_SHIFT_SWITCH = 8  # the p from which X^p * g mod f is a mulmod, not p shift steps
-
 
 def _mobius(n: int) -> int:
     mu = 1
@@ -93,31 +89,21 @@ def count_irreducibles(p: int, n: int) -> int:
 
 
 def _xp(f: list[int], rem, p: int) -> list[int]:
-    # X^p mod f, f monic; from p = 8 on, from X^(p >> s), deg < n, packed if rem.kernel.
-    if p < _SHIFT_SWITCH:
-        return _times_x([1], f, p, p)
+    # X^p mod f, f monic, deg f >= 1, from X^(p >> s), deg < n, on rem's packed kernel.
     s = next(s for s in range(p.bit_length() + 1) if p >> s < len(f) - 1)
-    if rem.kernel:
-        k, mulmod = rem.kernel
-        x = 1 << 8 * k * (p >> s)
-        for i in range(s - 1, -1, -1):
-            x = mulmod(x, x << 8 * k if p >> i & 1 else x)
-        return _trim(_unpack(x, k, len(f) - 1, p))
-    xp = [0] * (p >> s) + [1]
+    k, mulmod = rem.kernel
+    x = 1 << 8 * k * (p >> s)
     for i in range(s - 1, -1, -1):
-        xp = _times_x(rem(xp, xp), f, p, p >> i & 1)
-    return xp
+        x = mulmod(x, x << 8 * k if p >> i & 1 else x)
+    return _trim(_unpack(x, k, len(f) - 1, p))
 
 
 def _frobenius_rows(xp: list[int], f: list[int], p: int) -> list[list[int]]:
-    # Rows X^(i*p) mod f for i < deg f, each X^p times the one before: p shift steps
-    # below p = 8, else the map g -> X^p * g.
-    step = lambda g: _times_x(g, f, p, p)
-    if p >= _SHIFT_SWITCH:
-        cols = [xp]
-        for _ in range(len(f) - 2):
-            cols.append(_times_x(cols[-1], f, p))
-        step = _linear_map(cols, p)
+    # Rows X^(i*p) mod f for i < deg f, each the map g -> X^p * g of the one before.
+    cols = [xp]
+    for _ in range(len(f) - 2):
+        cols.append(_times_x(cols[-1], f, p))
+    step = _linear_map(cols, p)
     rows = [[1]]
     for _ in range(len(f) - 2):
         rows.append(step(rows[-1]))
@@ -180,24 +166,24 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
     Unless ``sieved`` (the caller proved f rootless and passing this check): False if
     disc f fails ``_disc_admits`` or f has a root. Then False iff, for 2 <= d <= top
     (n/2 at p = 2, n/3 for odd p), a gcd of f with the product of the X^(p^d) - X over
-    a block [2^i, 2^(i+1)), cut at top, is nontrivial.
+    a block [2^i, 2^(i+1)), cut at top, is nontrivial. So at top = 0, and at top = 1
+    when sieved, nothing after the discriminant is computed.
     """
     f, n = _monic(coeffs, p), len(coeffs) - 1
     if not sieved and not _disc_admits(_discriminant(f, p), n, p):
         return False
     top = n // 2 if p == 2 else n // 3
-    rem = _reducer(f, p) if p >= _SHIFT_SWITCH else None  # shift steps need none
+    if top == 0 or sieved and top == 1:
+        return True  # the discriminant, and if sieved the root sieve, left no factor
+    rem = _reducer(f, p)
     h = xp = _xp(f, rem, p)
-    if not sieved and top and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
+    if not sieved and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
         return False  # a root
     for d in range(2, top + 1):
         if top > 2:  # iterates of the Frobenius rows
-            if d == 2:  # below p = 8 the reducer is built only here, past the root gcd
-                rem = rem or _reducer(f, p)
+            if d == 2:
                 frob = _linear_map(_frobenius_rows(xp, f, p), p)
             h = frob(h)
-        elif p < _SHIFT_SWITCH:
-            h = _times_x(xp, f, p, p * p - p)
         else:  # X^p(X^p) by Horner's rule: n - 1 packed Barrett mulmods
             k, mulmod = rem.kernel
             y, h = _pack(xp, k), 0

@@ -15,9 +15,9 @@ Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
 Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a, len
 b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
 (v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius. ``_reducer``
-gives a -> a mod f and a, b -> a·b mod f: from degree 5 on by ``_barrett``'s packed
-mulmod (by X^(2n−1) div f, then per slot by ⌊2^s/p⌋; Barrett 1986), which factor's
-X^p and products share, and otherwise by long division.
+gives a -> a mod f and a, b -> a·b mod f by ``_barrett``'s packed mulmod (by X^(2n−1)
+div f, then per slot by ⌊2^s/p⌋; Barrett 1986) for f of every degree n >= 1, which
+factor's X^p and products share; only a constant f reduces by long division.
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -139,14 +139,13 @@ def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list
     return quot, rem
 
 
-def _times_x(g: list[int], f: Sequence[int], p: int, times: int = 1) -> list[int]:
-    # X^times * g mod f, f monic, g reduced: one shift step of O(deg f) per power.
+def _times_x(g: list[int], f: Sequence[int], p: int) -> list[int]:
+    # X * g mod f, f monic, g reduced: one shift step of O(deg f).
     n = len(f) - 1
-    for _ in range(times):
-        t = g[-1] if len(g) == n else 0
-        g = [0, *g[: n - 1]]
-        if t:  # t * X^n = -t * (f - X^n) mod f
-            g = [(gi - t * fi) % p for gi, fi in zip(g, f)]
+    t = g[-1] if len(g) == n else 0
+    g = [0, *g[: n - 1]]
+    if t:  # t * X^n = -t * (f - X^n) mod f
+        g = [(gi - t * fi) % p for gi, fi in zip(g, f)]
     return _trim(g)
 
 
@@ -194,14 +193,11 @@ def _barrett(f: Sequence[int], p: int):
 
 
 def _reducer(f: Sequence[int], p: int):
-    # a -> a mod f, a, b -> a*b mod f: from degree n = 5 on by the Barrett kernel
-    # (rem.kernel, else None) if n < len a < 2n, and otherwise by long division.
+    # a -> a mod f, a, b -> a*b mod f: by the Barrett kernel (rem.kernel, None for a
+    # constant f) if n < len a < 2n, and otherwise by long division.
     f = _monic(f, p)
     n = len(f) - 1
-    # Kernel/division us, p = 11, 10007, 2^61 - 1: n = 5, a*b mod f 2.9/7.4, 3.4/8.0,
-    # 8.4/13.8, a mod f 2.3/3.4, 2.7/4.0, 6.8/7.7; n = 4, a mod f 2.2/2.0, 2.5/2.9,
-    # 5.7/4.8 (CPython 3.11, one process, best of 7).
-    kernel = _barrett(f, p) if n >= 5 else None
+    kernel = _barrett(f, p) if n else None
 
     def rem(a: Sequence[int], b: Sequence[int] | None = None) -> list[int]:
         if b is not None and not (kernel and max(len(a), len(b)) <= n):

@@ -120,9 +120,9 @@ def test_search_constructed_matches_the_plain_loop(p, n, max_hits):
 def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
     # The flag follows from whether the caller sieved; the kernel looks the test
     # up as dirichlet's global, so rebinding that alias sees every member. A sieved
-    # scan tests exactly its members with no root (no factor of degree <= 2 for the
-    # exhaustive search) whose discriminant is nonzero and, for odd p, of character
-    # (-1)^(n-1); the oracle for both is brute force.
+    # scan tests exactly its members with no root whose discriminant is nonzero and,
+    # for odd p, of character (-1)^(n-1); the exhaustive search tests, unsieved, the
+    # members its factor sieve leaves when it stops below n/2. The oracle is brute force.
     calls = []
     test = dirichlet._rabin_irreducible
 
@@ -138,14 +138,10 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
         assert calls
         return {sieved for _, sieved in calls}
 
-    def admitted(f, p, top=1):
-        # top = 2: no factor of degree 1 or 2, i.e. gcd(f, X^(p^2) - X) = 1
+    def admitted(f, p):
         n = len(f) - 1
         g = Poly(PrimeField(p), f).monic()
-        x = Poly.x(g.field)
-        if top == 1 and any(_eval(f, t, p) == 0 for t in range(p)):
-            return False
-        if top == 2 and gcd(g, pow_mod(x, p * p, g) - x).degree > 0:
+        if any(_eval(f, t, p) == 0 for t in range(p)):
             return False
         d = (-1) ** (n * (n - 1) // 2) * _resultant(g.coeffs, g.derivative().coeffs, p) % p
         return d != 0 and (p == 2 or pow(d, (p - 1) // 2, p) == (-1) ** (n - 1) % p)
@@ -164,19 +160,18 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
         calls.clear()
         search_exhaustive(parse_poly(F, "X+1"), Poly.one(F), n)
         assert all(2 < len(f) <= n // 2 + 1 and not sieved for f, sieved in calls)
-    # deg b = 4 > n/2 at n = 6: the sieve stops at degree 2, and each line tests
-    # its members that no factor of degree <= 2 divides and whose Disc is admitted.
-    # Lines of 3 members take one resultant each; lines of 13 >= 2n interpolate Disc.
+    # deg b = 4 > n/2 at n = 6: the sieve stops at degree 2, and each member it leaves,
+    # the ones no factor of degree <= 2 divides, is tested unsieved.
     for p, b_text in ((3, "X^4+X^2+2"), (13, "X^4+2")):
         F = PrimeField(p)
-        a_p, b_p = parse_poly(F, "X+1"), parse_poly(F, b_text)
-        flags_of(search_exhaustive, a_p, b_p, 6)
-        tested = [(f, sieved) for f, sieved in calls if len(f) == 7]
-        assert {sieved for _, sieved in tested} == {True}
-        assert all(len(f) == 3 and not sieved for f, sieved in calls if len(f) != 7)
-        polys = [(a_p + b_p * Poly(F, [*low, lead])).coeffs for lead in range(1, p)
+        a_p, b_p, x = parse_poly(F, "X+1"), parse_poly(F, b_text), Poly.x(F)
+        assert flags_of(search_exhaustive, a_p, b_p, 6) == {False}
+        tested = [f for f, _ in calls if len(f) == 7]
+        assert all(len(f) == 3 for f, _ in calls if len(f) != 7)
+        polys = [a_p + b_p * Poly(F, [*low, lead]) for lead in range(1, p)
                  for low in itertools.product(range(p), repeat=2)]
-        assert sorted(f for f, _ in tested) == sorted(f for f in polys if admitted(f, p, 2))
+        assert sorted(tested) == sorted(
+            m.coeffs for m in polys if gcd(m, pow_mod(x, p * p, m) - x).is_one())
     # n = 1: every linear member is irreducible, and none is tested.
     calls.clear()
     search_exhaustive(parse_poly(F5, "X+3"), Poly.one(F5), 1)
@@ -187,11 +182,9 @@ def test_only_sieved_scans_test_members_as_rootless(monkeypatch):
 def test_sieved_members_skip_the_root_gcd(monkeypatch):
     # On the complete route no member of degree n meets the test or a resultant: the
     # factor sieve settles them all, and only the g of degree <= n/2 that it enumerates
-    # are tested. On the partial route, up to degree 8 a sieved member costs one
-    # resultant, res(f, f'), and no root gcd: the sieve stands in for it, and
-    # res(f, f') != 0 proves f squarefree. On lines of p = 3 points the discriminant
-    # sieve makes that resultant per member, so the test itself makes none. From degree
-    # 6 on its one gcd is with X^(p^2) - X.
+    # are tested. On the partial route each member the sieve leaves is tested unsieved:
+    # one resultant, res(f, f'), and, if its character is admitted, the root gcd and, at
+    # degree 6, the gcd with X^(p^2) - X.
     import progressio.factor as fmod
 
     gcds, resultants = [], []
@@ -226,7 +219,7 @@ def test_sieved_members_skip_the_root_gcd(monkeypatch):
     admitted = [m.monic() for m in left
                 if fmod._disc_admits(fmod._discriminant(m.coeffs, p), n, p)]
     assert sorted(g for g in gcds if len(g[1]) == n + 1) == sorted(
-        ((pow_mod(x, p * p, m) - x).coeffs, m.coeffs) for m in admitted)
+        ((pow_mod(x, e, m) - x).coeffs, m.coeffs) for m in admitted for e in (p, p * p))
 
 
 def test_search_constructed_noncoprime_rejected():

@@ -317,79 +317,54 @@ def test_large_modulus_end_to_end():
     assert factorize(h, seed=2).expand() == h
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_shift_route_matches_the_mulmod_route(monkeypatch, p):
-    # X^p mod f and the rows X^(i*p) mod f, by multiply-by-X steps and by squarings
-    # and the linear map g -> X^p * g, below and above degree 5, where poly's Barrett
-    # kernel starts; pow_mod is the oracle.
-    import progressio.factor as fmod
-    from progressio.poly import _reducer
-
-    rng = random.Random(p)
-    field = PrimeField(p)
-    for n in (1, 2, 8, 9, 33, 41):
-        f = [rng.randrange(p) for _ in range(n)] + [1]
-        rem = _reducer(f, p)
-        routes = []
-        for switch in (p + 1, p):  # shift steps, then the linear map
-            monkeypatch.setattr(fmod, "_SHIFT_SWITCH", switch)
-            xp = fmod._xp(f, rem, p)
-            routes.append((xp, fmod._frobenius_rows(xp, f, p)))
-        assert routes[0] == routes[1]
-        xp, rows = routes[0]
-        modulus = Poly(field, f)
-        assert Poly(field, xp) == pow_mod(Poly.x(field), p, modulus)
-        assert len(rows) == n
-        for i, row in enumerate(rows):
-            assert Poly(field, row) == pow_mod(Poly.x(field), i * p, modulus)
-
-
-def test_shift_route_builds_no_remainder_map(monkeypatch):
-    # At odd p below 8 and degree <= 8, X^p and X^(p^2) go by shift steps, so the
-    # test builds no _reducer: every monic f of degree <= 5 at p = 3, 5, 7, and
-    # seeded f up to degree 8 with any leading coefficient, against is_irreducible.
-    # From degree 9 (at p = 2 from degree 6) the rows and their products need one.
+def test_no_frobenius_where_the_test_cannot_use_it(monkeypatch):
+    # Past the discriminant, top = 0 (n = 1 at p = 2, n <= 2 for odd p) leaves no
+    # factor degree to look for, and so does top = 1 (n <= 3 at p = 2, n <= 5 for odd
+    # p) once the caller sieved the roots: there the test builds no _reducer, hence no
+    # X^p. Every monic f, unsieved and, when it passes the sieves, sieved, against
+    # enumerate_irreducibles; above those cases the remainder map is built as usual.
     import progressio.factor as fmod
 
-    rng = random.Random(71)
-    cases = []
-    for p in (3, 5, 7):
-        field = PrimeField(p)
-        for n in range(1, 6):
-            cases += [(list(f.coeffs), p) for f in _monic_polys(field, n)]
-        for n in range(1, 9):
-            cases += [
-                ([rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)], p)
-                for _ in range(30)
-            ]
-    want = [is_irreducible(Poly(PrimeField(p), f)) for f, p in cases]
+    reducer, forbidden = fmod._reducer, [False]
 
-    def no_reducer(f, p):
-        raise AssertionError(f"a remainder map was built at p = {p}")
+    def guarded(f, p):
+        if forbidden[0]:
+            raise AssertionError(f"a remainder map was built at p = {p}, f = {f}")
+        return reducer(f, p)
 
-    monkeypatch.setattr(fmod, "_reducer", no_reducer)
-    for (f, p), expected in zip(cases, want):
-        for sieved in (False, True)[: 1 + _sieve_passes(f, p)]:
-            assert _rabin_irreducible(f, p, sieved) == expected, (p, f, sieved)
+    monkeypatch.setattr(fmod, "_reducer", guarded)
+    for p, degrees in ((2, 7), (3, 7), (5, 6), (7, 5), (11, 4)):
+        for n in range(1, degrees):
+            top = n // 2 if p == 2 else n // 3
+            irreducible = set(enumerate_irreducibles(p, n))
+            for f in _monic_polys(PrimeField(p), n):
+                for sieved in (False, True)[: 1 + _sieve_passes(f.coeffs, p)]:
+                    forbidden[0] = top == 0 or sieved and top == 1
+                    got = _rabin_irreducible(list(f.coeffs), p, sieved)
+                    assert got == (f in irreducible), (p, f, sieved)
 
 
-@pytest.mark.parametrize("p", [8, 11, 13, 10007, (1 << 61) - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 10007, (1 << 61) - 1])
 def test_square_and_shift_xp_matches_pow_mod(p):
-    # From p = 8 on, X^p mod f is a squaring mulmod per bit of p and a shift step
-    # per 1 bit; the oracle is right-to-left powering with long division. p = 8,
-    # where this route starts, is no prime: the identity holds over Z/8 as well.
+    # X^p mod f is a packed squaring per bit of p and a shift step per 1 bit, and the
+    # rows X^(i*p) mod f come by the linear map g -> X^p * g, at every p. The oracles
+    # are right-to-left powering with long division, and pow_mod.
     import progressio.factor as fmod
     from progressio.poly import _divmod, _mul, _pow_mod, _reducer
 
     rng = random.Random(p)
-    for n in (1, 2, 8, 9, 33, 128):
+    field = PrimeField(p)
+    x = Poly.x(field)
+    for n in (1, 2, 4, 8, 9, 33, 128):
         f = [rng.randrange(p) for _ in range(n)] + [1]
-        rem = _reducer(f, p)
         xp = _pow_mod([0, 1], p, lambda a, b=(1,): _divmod(_mul(a, b, p), f, p)[1], p)
-        assert fmod._xp(f, rem, p) == xp, (p, n)
-        if p != 8:
-            field = PrimeField(p)
-            assert Poly(field, xp) == pow_mod(Poly.x(field), p, Poly(field, f))
+        assert fmod._xp(f, _reducer(f, p), p) == xp, (p, n)
+        modulus = Poly(field, f)
+        assert Poly(field, xp) == pow_mod(x, p, modulus)
+        rows = fmod._frobenius_rows(xp, f, p)
+        assert len(rows) == n
+        for i in range(n) if n < 128 else (0, 1, n // 2, n - 1):  # pow_mod is slow
+            assert Poly(field, rows[i]) == pow_mod(x, i * p, modulus), (p, n, i)
 
 
 def test_engine_matches_sympy_galoistools():

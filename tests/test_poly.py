@@ -257,7 +257,7 @@ def test_linear_map_matches_a_naive_sum():
 def test_remainder_table_matches_long_division():
     # Input lengths 0..2n+1 (every one up to n = 9, then the ends of each range and one
     # between) for f of degree 1..128, monic or not: the Barrett kernel serves
-    # 5 <= n < len a < 2n, long division the rest. Inputs of all p - 1 put every slot
+    # n < len a < 2n, long division the rest. Inputs of all p - 1 put every slot
     # at p - 1.
     rng = random.Random(47)
     for p in KERNEL_MODULI:
@@ -279,9 +279,9 @@ def test_remainder_table_matches_long_division():
 
 
 def test_packed_product_matches_long_division():
-    # rem(x, y) = x*y mod f for f of degree 1..12: the Barrett kernel from n = 5 on, a
-    # product and then a remainder below it or for an unreduced operand. Operands of
-    # all p - 1 fill each product slot to n(p - 1)^2.
+    # rem(x, y) = x*y mod f for f of degree 1..12: the Barrett kernel, or a product and
+    # then a remainder for an unreduced operand. Operands of all p - 1 fill each product
+    # slot to n(p - 1)^2.
     rng = random.Random(67)
     for p in (2, 3, 11, 10007, (1 << 61) - 1):
         for n in range(1, 13):
@@ -298,9 +298,9 @@ def test_packed_product_matches_long_division():
 
 
 def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
-    # _reducer builds the kernel once, when it is made, for f of degree 5 and up only,
-    # monic or not; it serves 8 < len a < 16 at n = 8, long division the other
-    # lengths.
+    # _reducer builds the kernel once, when it is made, for f of every degree from 1,
+    # monic or not, and none for a constant f; it serves 8 < len a < 16 at n = 8, long
+    # division the other lengths.
     import progressio.poly as pmod
 
     built = []
@@ -310,11 +310,10 @@ def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
     for p in KERNEL_MODULI:
         field = PrimeField(p)
         for lead in (1, 2) if p > 2 else (1,):
-            _reducer([rng.randrange(p) for _ in range(4)] + [lead], p)
-            assert not built, (p, lead)
-            for n in (5, 40, 64):
-                _reducer([rng.randrange(p) for _ in range(n)] + [lead], p)
-                assert len(built) == 1, (p, lead, n)
+            assert _reducer([lead], p).kernel is None and not built, (p, lead)
+            for n in (1, 2, 3, 4, 5, 40, 64):
+                rem = _reducer([rng.randrange(p) for _ in range(n)] + [lead], p)
+                assert rem.kernel and len(built) == 1, (p, lead, n)
                 built.clear()
             f = [rng.randrange(p) for _ in range(8)] + [lead]
             rem = _reducer(f, p)
@@ -353,7 +352,7 @@ def test_barrett_mulmod_matches_long_division():
     # makes f monic before the kernel sees it, so above n = 64 only monic f are drawn.
     rng = random.Random(73)
     for p in BARRETT_MODULI:
-        for n in (5, 6, 7, 8, 9, 12, 16, 24, 39, 40, 64, 128, 256):
+        for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 24, 39, 40, 64, 128, 256):
             for lead in (1, rng.randrange(2, p)) if p > 2 and n <= 64 else (1,):
                 for low in ([rng.randrange(p) for _ in range(n)], [p - 1] * n,
                             [rng.randrange(1, p)] + [0] * (n - 1)):
@@ -369,7 +368,7 @@ def test_barrett_mulmod_matches_long_division():
 @st.composite
 def _kernel_operands(draw):
     p = draw(st.sampled_from(BARRETT_MODULI))
-    n = draw(st.integers(5, 128))
+    n = draw(st.integers(1, 128))
     f = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
     f.append(draw(st.integers(1, p - 1)))
     a, b = (draw(st.lists(st.integers(0, 2 * p - 1), min_size=n, max_size=n)) for _ in "ab")
@@ -385,11 +384,13 @@ def test_barrett_mulmod_property(case):
 
 
 def test_pow_mod_matches_repeated_multiplication():
+    # Moduli monic or not, from a constant (every power is 0) and degree 1 up.
     rng = random.Random(43)
     for p in KERNEL_MODULI:
         field = PrimeField(p)
-        for deg_m in (3, 40, 33):
-            m = Poly(field, [rng.randrange(p) for _ in range(deg_m)] + [1])
+        for deg_m in (0, 1, 3, 40, 33):
+            lead = rng.randrange(1, p)
+            m = Poly(field, [rng.randrange(p) for _ in range(deg_m)] + [lead])
             base = rand_poly(rng, field, deg_m + 5)
             acc = Poly.one(field)
             for k in range(12):
