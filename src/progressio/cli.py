@@ -27,8 +27,9 @@ from .factor import (_disc_admits, _discriminant, count_irreducibles, factorize,
                      is_irreducible)
 from .ff import PrimeField
 from .galois import certify_sn
-from .oracle import _monic_polys, enumerate_irreducibles, naive_factor, naive_mul
-from .poly import Poly, _eval, _reducer, parse_poly
+from .oracle import (_monic_polys, enumerate_irreducibles, naive_factor, naive_mul,
+                     sylvester_resultant)
+from .poly import Poly, _eval, _reducer, _resultant, parse_poly, xgcd
 
 
 def _emit(text: str, path: str | None):
@@ -157,6 +158,21 @@ def _selftest_suites(level: str):
         return True
 
     yield "product kernel agrees with convolution", mul_agreement
+
+    def euclid_agreement() -> bool:
+        rng = random.Random(11)
+        for _ in range(12 if level == "quick" else 40):
+            p = rng.choice((2, 3, 101, (1 << 61) - 1))
+            monic = [Poly(PrimeField(p), [rng.randrange(p) for _ in range(d)] + [1])
+                     for d in (rng.randrange(1, 57), rng.randrange(1, 57), rng.randrange(9))]
+            f, g = monic[0] * monic[2], monic[1] * monic[2]  # a common factor, degrees <= 64
+            g0, u, v = xgcd(f, g)
+            if u * f + v * g != g0 or g0.lc() != 1 or f % g0 or g % g0 or _resultant(
+                    f.coeffs, g.coeffs, p) != sylvester_resultant(f.coeffs, g.coeffs, p):
+                return False
+        return True
+
+    yield "Euclid kernel agrees with long division and Sylvester", euclid_agreement
 
     def roundtrip() -> bool:
         field = PrimeField(13)

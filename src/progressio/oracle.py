@@ -1,15 +1,17 @@
 """Naive reference implementations used as independent cross-checks.
 
 Nothing here shares code with the production paths: multiplication is a
-plain convolution, factorization is trial division over a sieved table
-of irreducibles. These routines ship with the package (not only with the
-test suite) so the ``selftest`` command can audit an installation in the
-field; they are deliberately slow and guarded to desk scale.
+plain convolution, the resultant a Sylvester determinant, factorization
+is trial division over a sieved table of irreducibles. These routines
+ship with the package (not only with the test suite) so the ``selftest``
+command can audit an installation in the field; they are deliberately
+slow and guarded to desk scale.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 from .errors import TooLarge, ZeroPolynomial
 from .factor import FactorizationResult, _graded_lex_key
@@ -29,6 +31,26 @@ def naive_mul(f: Poly, g: Poly) -> Poly:
         for j, b in enumerate(g.coeffs):
             out[i + j] = (out[i + j] + a * b) % p
     return Poly(f.field, out)
+
+
+def sylvester_resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """res(a, b) of nonzero coefficient lists: the Sylvester determinant, by elimination."""
+    m, n = len(a) - 1, len(b) - 1  # n shifted rows of a, m of b
+    rows = [[0] * i + [*a[::-1]] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + [*b[::-1]] + [0] * (m - 1 - i) for i in range(m)]
+    det = 1
+    for c in range(m + n):
+        pivot = next((r for r in range(c, m + n) if rows[r][c] % p), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, m + n):
+            t = rows[r][c] * inv % p
+            rows[r] = [x - t * y for x, y in zip(rows[r], rows[c])]
+    return det % p
 
 
 def _monic_polys(field: PrimeField, degree: int):

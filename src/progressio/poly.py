@@ -8,8 +8,8 @@ compares below every integer but poisons arithmetic instead of silently
 acting like -1.
 
 Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``) operate on Poly values; the
-underscore-prefixed kernels, Euclid's ``_resultant`` among them, work on raw coefficient
-lists and carry the performance-sensitive inner loops.
+underscore-prefixed kernels work on raw coefficient lists and carry the
+performance-sensitive inner loops.
 
 Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
 Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a, len
@@ -18,6 +18,9 @@ b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear
 gives a -> a mod f and a, b -> a·b mod f by ``_barrett``'s packed mulmod (by X^(2n−1)
 div f, then per slot by ⌊2^s/p⌋; Barrett 1986) for f of every degree n >= 1, which
 factor's X^p and products share; only a constant f reduces by long division.
+``_euclid``, under ``_gcd``, ``_xgcd`` and ``_resultant`` (which reads the remainders'
+lengths and leading coefficients), is Euclid on packed ints with the same slot reduction,
+by long division only for a gcd or resultant of an operand below ``_EUCLID_PACKED``.
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -158,23 +161,27 @@ def _linear_map(rows: Sequence[Sequence[int]], p: int):
     return lambda v: _trim(_unpack(sum(map(mul, v, ints)), k, n, p))
 
 
-def _barrett(f: Sequence[int], p: int):
-    # f monic, degree n. Returns k and x, y -> x*y mod f on ints of n k-byte slots, each
-    # in [0, 2p) (x, y: slot 0 < 3p, and y may be x << 8k). If deg z < 2n, z div f is
-    # ((z >> n slots) * mu) >> n - 1 slots, mu = X^(2n-1) div f; a slot v becomes
-    # v - p((v*m) >> s) < 2p, m = 2^s // p, as s is the least with v*m / 2^s > v/p - 1
-    # for v < vmax, which bounds z (4n + 4)p^2, the quotient 2np^2, and z's low slots
-    # plus a bias of 2np^2 (a multiple of p above any slot of the quotient times f).
-    n = len(f) - 1
-    g, rev = f[-2::-1], [1]  # rev f = 1 + g_0 X + ..., rev = 1 / rev f mod X^n = rev mu
-    for i in range(1, n):
-        rev.append(-sum(map(mul, g[:i], reversed(rev))) % p)
-    vmax = (6 * n + 4) * p * p
+def _slot_reduction(vmax: int, p: int) -> tuple[int, int, int]:
+    # k, s and m = 2^s // p: a slot v < vmax becomes v - p((v*m) >> s) in [0, 2p), as s is
+    # the least with v*m / 2^s > v/p - 1 for v < vmax, and v*m fits in k bytes.
     s = ((vmax - 1) // p).bit_length()
     while (vmax - 1) * ((1 << s) % p) >= p << s:
         s += 1
     m = (1 << s) // p
-    k = _slot_bytes((vmax - 1) * m)
+    return _slot_bytes((vmax - 1) * m), s, m
+
+
+def _barrett(f: Sequence[int], p: int):
+    # f monic, degree n. Returns k and x, y -> x*y mod f on ints of n k-byte slots, each
+    # in [0, 2p) (x, y: slot 0 < 3p, and y may be x << 8k). If deg z < 2n, z div f is
+    # ((z >> n slots) * mu) >> n - 1 slots, mu = X^(2n-1) div f; _slot_reduction for
+    # v < (6n + 4)p^2 bounds z (4n + 4)p^2, the quotient 2np^2, and z's low slots plus a
+    # bias of 2np^2 (a multiple of p above any slot of the quotient times f).
+    n = len(f) - 1
+    g, rev = f[-2::-1], [1]  # rev f = 1 + g_0 X + ..., rev = 1 / rev f mod X^n = rev mu
+    for i in range(1, n):
+        rev.append(-sum(map(mul, g[:i], reversed(rev))) % p)
+    k, s, m = _slot_reduction((6 * n + 4) * p * p, p)
     low, top, shift = (1 << 8 * k * n) - 1, 8 * k * n, 8 * k * (n - 1)
     ones = low // ((1 << 8 * k) - 1)  # 1 in each slot
     mask, bias = ones * ((1 << 8 * k - s) - 1), ones * 2 * n * p * p
@@ -219,35 +226,83 @@ def _monic(a: Sequence[int], p: int) -> list[int]:
     return _mul_scalar(a, pow(a[-1], -1, p), p)
 
 
+# Packed steps from this length of the shorter operand up. Long division's time over
+# theirs on each workload's own calls, CPython 3.11, by that length: sweep's resultants
+# (p = 3, 5) 1: 0.24, 4: 0.70; certify's gcds (p = 101, 10007) 1: 0.19, 3: 0.77, 8: 0.98,
+# 9: 1.09; scan's at 8 (p = 10007): gcds 1.03, resultants 0.97; factor's gcds (p = 5,
+# 10007, 2^61 - 1) 5: 1.10, 9: 1.65, 16 and up: 2.83. Packed at every length, sweep,
+# certify and scan ran 3-9 % fewer ops/s.
+_EUCLID_PACKED = 9
+
+
+def _euclid(a: Sequence[int], b: Sequence[int], p: int, cofactors: bool = False):
+    # Euclid's remainders r_0 = a, r_1 = b, r_2 = a mod b, ...: the last nonzero one, the
+    # lengths of all and of the final 0, and lc r_1, lc r_2, ...; or, always packed, it, s
+    # and t with s*a + t*b = it. Packed with lc r in slot 0, the step A - c*X^d*B is A +
+    # (p - c)B then A >> 1 slot; S is s, then t from slot n. Slots stay < 10p^2: B, S1 are
+    # < 2p, and A, S are reduced to [0, 2p) after 4 steps and at the end of each quotient.
+    lens, lcs = [len(a), len(b)], []
+    if not cofactors and min(lens) < _EUCLID_PACKED:
+        while b:
+            a, b = b, _divmod(a, b, p)[1] if len(b) > 1 else []  # c divides all
+            lens.append(len(b))
+            lcs.append(a[-1])
+        return list(a), lens, lcs
+    (la, lb), n = lens, max(*lens, 1)
+    k, s, m = _slot_reduction(10 * p * p, p)
+    K, one = 8 * k, (1 << 8 * k) - 1
+    mask = ((1 << 2 * K * n) - 1) // one * ((1 << K - s) - 1)  # 2^(8k - s) - 1 per slot
+    A, B, S, S1 = _pack(a[::-1], k), _pack(b[::-1], k), 1, 1 << K * n
+    while lb:
+        lc = (B & one) % p
+        inv, steps = pow(lc, -1, p), 0
+        while la >= lb:
+            c = p - (A & one) * inv % p  # p - lc A / lc B, in (0, p]
+            if c < p:
+                A += c * B
+                if cofactors:
+                    S += c * S1 << K * (la - lb)
+                steps += 1
+            A, la = A >> K, la - 1
+            if steps == 4 or steps and la < lb:
+                A, steps = A - p * ((A * m >> s) & mask), 0
+                if cofactors:
+                    S -= p * ((S * m >> s) & mask)
+        while la and (A & one) % p == 0:
+            A, la = A >> K, la - 1
+        A, B, S, S1, la, lb = B, A, S1, S, lb, la
+        lens.append(lb)
+        lcs.append(lc)
+    g = _unpack(A, k, la, p)[::-1]
+    if cofactors:
+        st = _unpack(S, k, 2 * n, p)
+        return g, _trim(st[:n]), _trim(st[n:])
+    return g, lens, lcs
+
+
 def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _divmod(a, b, p)[1]
-    return _monic(a, p)
+    return _monic(_euclid(a, b, p)[0], p)
 
 
 def _resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
-    # res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r), r = a mod b
-    out = 1
-    while len(b) > 1:  # m, n: the lengths of a, b before the step
-        a, b, m, n = b, _divmod(a, b, p)[1], len(a), len(b)
-        out = out * (-1) ** ((m - 1) * (n - 1)) * pow(a[-1], m - len(b), p) % p
-    return out * pow(b[0], len(a) - 1, p) % p if a and b else 0
+    # res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) res(b, r), r = a mod b, down to
+    # res(a, c) = c^deg a for a constant c, or to 0 if no remainder is a constant.
+    if not a:
+        return 0
+    out, (_, lens, lcs) = 1, _euclid(a, b, p)
+    for m, n, r, c in zip(lens, lens[1:], lens[2:], lcs):  # r_(i-1), r_i, r_(i+1)
+        if n == 1:
+            return out * pow(c, m - 1, p) % p
+        out = out * (-1) ** ((m - 1) * (n - 1)) * pow(c, m - r, p) % p
+    return 0
 
 
-def _xgcd(a, b, p):
-    s, s1 = [1], []
-    t, t1 = [], [1]
-    while b:
-        q, r = _divmod(a, b, p)
-        a, b = b, r
-        s, s1 = s1, _sub(s, _mul(q, s1, p), p)
-        t, t1 = t1, _sub(t, _mul(q, t1, p), p)
-    if a:
-        inv_lc = pow(a[-1], -1, p)
-        a = _mul_scalar(a, inv_lc, p)
-        s = _mul_scalar(s, inv_lc, p)
-        t = _mul_scalar(t, inv_lc, p)
-    return a, s, t
+def _xgcd(a: Sequence[int], b: Sequence[int], p: int):
+    if len(b) == 1 or len(a) == 1:  # a unit: no steps
+        return ([1], [], [pow(b[0], -1, p)]) if len(b) == 1 else ([1], [pow(a[0], -1, p)], [])
+    g, s, t = _euclid(a, b, p, cofactors=True)
+    inv = pow(g[-1], -1, p) if g else 1
+    return _mul_scalar(g, inv, p), _mul_scalar(s, inv, p), _mul_scalar(t, inv, p)
 
 
 def _pow_mod(base: Sequence[int], k: int, rem, p: int) -> list[int]:

@@ -22,11 +22,15 @@ from progressio.errors import (
     PreconditionViolated,
     ZeroPolynomial,
 )
+from progressio.oracle import sylvester_resultant
 from progressio.poly import (
+    _EUCLID_PACKED,
     Poly,
     _compose_mod,
     _deriv,
     _divmod,
+    _euclid,
+    _gcd,
     _linear_map,
     _monic,
     _mul,
@@ -102,12 +106,19 @@ def test_xgcd_examples():
     assert g0 == h and u * h + v * h == h
 
 
+EUCLID_MODULI = (2, 3, 10007, (1 << 61) - 1)
+
+
 def test_xgcd_bezout_random():
+    # Degrees 0-40 straddle the packed steps' length crossover (_EUCLID_PACKED).
     rng = random.Random(5)
     for _ in range(200):
-        field = (F2, F3, F5)[rng.randrange(3)]
-        f = rand_poly(rng, field, rng.randrange(0, 9))
-        g = rand_poly(rng, field, rng.randrange(0, 9))
+        field = PrimeField(rng.choice(EUCLID_MODULI))
+        f = rand_poly(rng, field, rng.randrange(0, 41))
+        g = rand_poly(rng, field, rng.randrange(0, 41))
+        if rng.randrange(3) == 0:  # a common factor of degree up to 8
+            common = rand_poly(rng, field, rng.randrange(1, 9))
+            f, g = f * common, g * common
         if f.is_zero() and g.is_zero():
             continue
         g0, u, v = xgcd(f, g)
@@ -116,6 +127,13 @@ def test_xgcd_bezout_random():
         if not g0.is_zero():
             assert (f % g0).is_zero() and (g % g0).is_zero()
         assert gcd(f, g) == gcd(g, f) if not (f.is_zero() or g.is_zero()) else True
+        if not (f.is_zero() or g.is_zero() or f.degree == g.degree == g0.degree):
+            assert u.degree < (g // g0).degree and v.degree < (f // g0).degree
+    one = Poly.one(F5)
+    g = parse_poly(F5, "X^3+2*X+1")
+    assert xgcd(one, g) == (one, one, Poly.zero(F5))  # a constant argument
+    assert xgcd(g, 3 * one) == (one, Poly.zero(F5), 2 * one)
+    assert xgcd(Poly.zero(F5), 2 * g) == (g, Poly.zero(F5), 3 * one)  # a zero one
 
 
 def test_gcd_both_zero():
@@ -398,48 +416,48 @@ def test_pow_mod_matches_repeated_multiplication():
                 acc = naive_mul(acc, base) % m
 
 
-def _sylvester_det(a, b, p):
-    # det of the Sylvester matrix of a, b (degrees m, n): n shifted rows of a, m of b,
-    # by Gaussian elimination mod p.
-    m, n = len(a) - 1, len(b) - 1
-    rows = [[0] * i + a[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + b[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    det = 1
-    for c in range(m + n):
-        pivot = next((r for r in range(c, m + n) if rows[r][c] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
-        det = det * rows[c][c] % p
-        inv = pow(rows[c][c], -1, p)
-        for r in range(c + 1, m + n):
-            t = rows[r][c] * inv % p
-            rows[r] = [x - t * y for x, y in zip(rows[r], rows[c])]
-    return det % p
-
-
 def test_resultant_matches_the_sylvester_determinant():
+    # Degrees 0-40 straddle the packed steps' length crossover (_EUCLID_PACKED).
     rng = random.Random(61)
-    for p in (2, 3, 10007, (1 << 61) - 1):
+    for p in EUCLID_MODULI:
         def draw(deg):
             return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
 
         for _ in range(60):
-            a, b = draw(rng.randrange(0, 9)), draw(rng.randrange(0, 9))
-            assert _resultant(a, b, p) == _sylvester_det(a, b, p), (p, a, b)
-            g = draw(rng.randrange(1, 4))  # a common factor
+            a, b = draw(rng.randrange(0, 41)), draw(rng.randrange(0, 41))
+            assert _resultant(a, b, p) == sylvester_resultant(a, b, p), (p, a, b)
+            g = draw(rng.randrange(1, 9))  # a common factor
             assert _resultant(_mul(a, g, p), _mul(b, g, p), p) == 0, (p, a, b, g)
         a, c = draw(5), draw(0)
         assert _resultant(a, c, p) == pow(c[0], 5, p)  # a constant second argument
         assert _resultant(a, [], p) == _resultant([], a, p) == 0  # a zero one
-        small, big = draw(2), draw(7)  # deg b > deg a, both orders
-        assert _resultant(small, big, p) == _sylvester_det(small, big, p)
-        assert _resultant(big, small, p) == _sylvester_det(big, small, p)
+        for small, big in ((draw(2), draw(7)), (draw(12), draw(30))):  # deg a < deg b
+            assert _resultant(small, big, p) == sylvester_resultant(small, big, p)
+            assert _resultant(big, small, p) == sylvester_resultant(big, small, p)
         if p < 8:  # f = u(X^p): f' = 0, so res(f, f') = 0
             f = [0] * (2 * p + 1)
             f[0], f[p], f[2 * p] = 1, 1, 1
             assert _deriv(f, p) == [] and _resultant(f, _deriv(f, p), p) == 0
+
+
+@st.composite
+def _euclid_operands(draw):
+    p = draw(st.sampled_from(EUCLID_MODULI))
+    lengths = st.integers(1, 2 * _EUCLID_PACKED)  # both sides of the crossover
+    a, b, common = (draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+                    for n in (draw(lengths), draw(lengths), draw(st.integers(1, 9))))
+    return p, _mul(_trim(a), common[:-1] + [1], p), _mul(_trim(b), common[:-1] + [1], p)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_euclid_operands())
+def test_packed_gcd_matches_long_division(operands):
+    p, a, b = operands
+    x, y = a, b
+    while y:
+        x, y = y, _divmod(x, y, p)[1]
+    assert _gcd(a, b, p) == _monic(x, p)
+    assert _monic(_euclid(a, b, p, cofactors=True)[0], p) == _monic(x, p)  # always packed
 
 
 @st.composite
