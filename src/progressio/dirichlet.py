@@ -4,8 +4,8 @@ Over a prime field the progression is guaranteed to contain irreducibles
 of every sufficiently large degree (the polynomial-ring analogue of
 primes in arithmetic progressions, due to Kornblum and Artin). Two
 strategies are offered: the constructed scan rescales the certificate
-multiplier through all nonzero field elements, and the exhaustive scan
-enumerates every admissible c at desk scale as a brute-force oracle.
+multiplier through all nonzero field elements, and the exhaustive scan settles
+every admissible c at desk scale by a factor sieve, then reads the hits off a table.
 
 Density: when the geometric group of the rescaled family is the full
 symmetric group, a fraction of about 1/n of specializations is
@@ -95,10 +95,11 @@ def search_constructed(a: Poly, b: Poly, n: int, max_hits: int = 16) -> SearchRe
 
 
 def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
-    """Try every c with deg c = n - deg b; a desk-scale brute-force oracle.
+    """Every c with deg c = n - deg b: a factor sieve, then hits read off a digit table.
 
     ``_factor_sieve`` marks each c whose member has a factor of degree <= top. At
-    top = n/2 the rest of degree n are the hits, untested; else each is tested.
+    top = n/2 the rest of degree n are the hits, untested; else each is tested. With
+    c = low + high*X^k, a member is one sum: a + b*high*X^k per block, b*low tabled.
     """
     Pencil(a, b)
     p = a.field.modulus
@@ -108,17 +109,25 @@ def search_exhaustive(a: Poly, b: Poly, n: int) -> SearchReport:
     # p >= 2, so p^(deg_c + 1) exceeds the guard once deg_c reaches its bit length.
     if deg_c >= _EXHAUSTIVE_GUARD.bit_length() or p ** (deg_c + 1) > _EXHAUSTIVE_GUARD:
         raise TooLarge(f"{p}^{deg_c + 1} candidate space exceeds the guard")
+    if a.degree > n:  # deg(b*c) = n < deg a: no member has degree n
+        return _report(a, b, n, "exhaustive", [], (p - 1) * p**deg_c)
     top = min(n // 2, max(1, deg_c))  # n // 2 whenever deg b <= (n + 1) // 2
     marks = _factor_sieve(p, a.coeffs, b.coeffs, deg_c, top)
-    powers = [p**j for j in range(deg_c + 1)]
-    hits = []
-    for i in compress(range(len(marks)), map((0).__eq__, marks)):
-        c = [(i + powers[-1]) // q % p for q in powers]  # the digits of idx + p^deg_c
-        member = _add(a.coeffs, _mul(b.coeffs, c, p), p)
-        # At top = n/2 a reducible member of degree n is marked. _rabin_irreducible is
-        # looked up per call as this module's global: tracers rebind it.
-        if len(member) == n + 1 and (top == n // 2 or _rabin_irreducible(member, p)):
-            hits.append((a._wrap(c), a._wrap(member)))
+    k = min(deg_c, max(1, 12 // p.bit_length()))  # p^k <= max(p, 4096)
+    lows = [t[::-1] for t in product(range(p), repeat=k)]  # idx order: c_0 fastest
+    table = [(low, _mul(b.coeffs, low, p) + [0] * (n + 1)) for low in lows]
+    red, hits = [*range(p)] * 2, []  # a sum of two residues lies in [0, 2p)
+    for lo in range(0, len(marks), len(table)):
+        j = lo // len(table) + p ** (deg_c - k)  # sum high_i*p^i; its lead is nonzero
+        high = tuple(j // p**i % p for i in range(deg_c - k + 1))
+        base = _add(a.coeffs, _mul(b.coeffs, [0] * k + [*high], p), p)
+        base += [0] * (n + 1 - len(base))  # a's lead may cancel b*c's
+        for low, bl in compress(table, map((0).__eq__, marks[lo : lo + len(table)])):
+            member = tuple(map(red.__getitem__, map(add, base, bl)))
+            # At top = n/2 a reducible member of degree n is marked. _rabin_irreducible
+            # is looked up per call as this module's global: tracers rebind it.
+            if member[n] and (top == n // 2 or _rabin_irreducible(member, p)):
+                hits.append((a._wrap(low + high), a._wrap(member)))
     return _report(a, b, n, "exhaustive", hits, len(marks))
 
 

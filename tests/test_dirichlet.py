@@ -259,6 +259,9 @@ def test_search_exhaustive_small_scale():
     (3, "X+1", "X^4+X^2+2", 6),  # deg b > n/2: lines scanned with the sieve's marks
     (13, "X+1", "X^4+2", 6),  # lines of 13 >= 2n members interpolate Disc(t)
     (5, "X+1", "X^7+2", 10),
+    (3, "X^5+X+1", "X+1", 4),  # deg a > n: no member has degree n
+    (3, "X+1", "X", 8),  # deg c = 7 > k = 6: several digit-table blocks per lead
+    (5, "X+1", "X^2+X+1", 7),  # deg c = 5 > k = 4: 20 blocks
 ])
 def test_search_exhaustive_matches_the_plain_loop(p, a, b, n):
     field = PrimeField(p)

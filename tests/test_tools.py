@@ -1,0 +1,22 @@
+"""Smoke test for the benchmark scripts under tools/."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def test_bench_sweep_writes_its_table(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(TOOLS / "bench_sweep.py"), "--rounds", "1",
+                    "--out", str(out)], check=True, capture_output=True, timeout=60)
+    table = json.loads(out.read_text())
+    assert table["meta"]["rounds"] == 1 and table["meta"]["with_parent"] is False
+    assert {"python", "cpus"} <= table["meta"].keys()
+    rows = table["rows"]
+    assert [(row["p"], row["n"]) for row in rows] == [(3, 8), (5, 6), (5, 7), (13, 6)]
+    for row in rows:
+        assert row.keys() == {"p", "a", "b", "n", "search_us", "sieve_us"}
+        assert row["search_us"] > 0 and row["sieve_us"] > 0

@@ -11,31 +11,21 @@ calls, in an order that reverses from round to round. Standard library only.
 """
 
 import argparse
-import importlib.util
 import json
 import os
 import platform
 import random
 import statistics
-import sys
 import time
 from pathlib import Path
+
+from trees import HERE, load
 
 SIZES = (4, 8, 12, 16, 32, 64, 256)
 MODULI = (2, 3, 10007, (1 << 61) - 1)
 KERNELS = ("_gcd", "_resultant", "_xgcd")
 ROUTES = {"division_us": 10**9, "packed_us": 1}  # _EUCLID_PACKED: never, always packed
 PAIRS = 10
-
-
-def load_poly(src: Path, name: str):
-    # The package under src, imported under its own name so two trees can coexist.
-    spec = importlib.util.spec_from_file_location(
-        name, src / "progressio" / "__init__.py",
-        submodule_search_locations=[str(src / "progressio")])
-    sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name + ".poly"]
 
 
 def pairs(n: int, p: int) -> list[tuple[list[int], list[int]]]:
@@ -61,8 +51,8 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=6)
     ap.add_argument("--out", type=Path, default=Path("BENCH_euclid.json"))
     args = ap.parse_args()
-    this = load_poly(Path(__file__).resolve().parent.parent / "src", "change")
-    parent = args.parent and load_poly(args.parent.resolve(), "parent")
+    this = load(HERE, "change", "poly")
+    parent = args.parent and load(args.parent.resolve(), "parent", "poly")
     routed = {label: (this, route) for label, route in ROUTES.items()}
     theirs = {"parent_us": (parent, None)} if parent else {}
     columns = {fn: {"us": (this, this._EUCLID_PACKED), **(routed if fn != "_xgcd" else {}), **theirs}
