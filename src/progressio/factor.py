@@ -1,10 +1,10 @@
 """Irreducibility testing and complete factorization over prime fields.
 
 Both read the Frobenius off X^p mod f: the rows X^(i*p) mod f, applied as poly's
-``_linear_map``, so no exponent grows with p^d. X^p is a packed Barrett squaring per
-bit of p plus a shift per 1 bit from X^(p >> s), p >> s < deg f, and each row is the
-linear map g -> X^p * g, whose rows X^(p+i) come by multiply-by-X steps, applied to
-the one before. Both run Ben-Or's distinct-degree loop:
+``_linear_map``, so no exponent grows with p^d. X^p is poly's ``_pow_mod`` of X, and
+X^(p^2), where the test needs no rows, is ``_compose_mod`` of X^p with itself; each row
+is the linear map g -> X^p * g, whose rows X^(p+i) come by multiply-by-X steps, applied
+to the one before. Both run Ben-Or's distinct-degree loop:
 gcd(X^(p^d) - X, f) is the product of the degree-d irreducible factors of f, and
 degrees d > 1 come in blocks [d, 2d) (Shoup 1995), one gcd with the product of the
 X^(p^e) - X over a block. Factorization divides each nontrivial product out while
@@ -40,19 +40,18 @@ from .ff import FieldElem
 from .poly import (
     Poly,
     _add,
+    _compose_mod,
     _deriv,
     _divmod,
     _gcd,
     _linear_map,
     _monic,
-    _pack,
     _pow_mod,
     _reducer,
     _resultant,
     _sub,
     _times_x,
     _trim,
-    _unpack,
     format_poly,
 )
 
@@ -88,16 +87,6 @@ def count_irreducibles(p: int, n: int) -> int:
 # Irreducibility.
 
 
-def _xp(f: list[int], rem, p: int) -> list[int]:
-    # X^p mod f, f monic, deg f >= 1, from X^(p >> s), deg < n, on rem's packed kernel.
-    s = next(s for s in range(p.bit_length() + 1) if p >> s < len(f) - 1)
-    k, mulmod = rem.kernel
-    x = 1 << 8 * k * (p >> s)
-    for i in range(s - 1, -1, -1):
-        x = mulmod(x, x << 8 * k if p >> i & 1 else x)
-    return _trim(_unpack(x, k, len(f) - 1, p))
-
-
 def _frobenius_rows(xp: list[int], f: list[int], p: int) -> list[list[int]]:
     # Rows X^(i*p) mod f for i < deg f, each the map g -> X^p * g of the one before.
     cols = [xp]
@@ -126,7 +115,7 @@ def _ben_or(f: list[int], p: int):
         top = min(2 * d - 1, (len(rest) - 1) // 2)
         hs = []
         for e in range(d, top + 1):
-            h = frob(h) if e > 1 else _xp(rest, rem, p)
+            h = frob(h) if e > 1 else _pow_mod([0, 1], p, rem, p)
             hs.append(_sub(h, [0, 1], p))
         block = rest
         if top > d:
@@ -176,7 +165,7 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
     if top == 0 or sieved and top == 1:
         return True  # the discriminant, and if sieved the root sieve, left no factor
     rem = _reducer(f, p)
-    h = xp = _xp(f, rem, p)
+    h = xp = _pow_mod([0, 1], p, rem, p)
     if not sieved and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
         return False  # a root
     for d in range(2, top + 1):
@@ -185,11 +174,7 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
                 frob = _linear_map(_frobenius_rows(xp, f, p), p)
             h = frob(h)
         else:  # X^p(X^p) by Horner's rule: n - 1 packed Barrett mulmods
-            k, mulmod = rem.kernel
-            y, h = _pack(xp, k), 0
-            for c in reversed(xp):
-                h = mulmod(h, y) + c if h else c
-            h = _trim(_unpack(h, k, n, p))
+            h = _compose_mod(xp, xp, rem, p)
         hx = _sub(h, [0, 1], p)
         acc = hx if d & (d - 1) == 0 else rem(acc, hx)
         if (d == top or d & (d + 1) == 0) and len(_gcd(acc, f, p)) > 1:

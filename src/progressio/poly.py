@@ -16,8 +16,9 @@ Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a,
 b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
 (v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius. ``_reducer``
 gives a -> a mod f and a, b -> a·b mod f by ``_barrett``'s packed mulmod (by X^(2n−1)
-div f, then per slot by ⌊2^s/p⌋; Barrett 1986) for f of every degree n >= 1, which
-factor's X^p and products share; only a constant f reduces by long division.
+div f, then per slot by ⌊2^s/p⌋; Barrett 1986) for f of every degree n >= 1; only a
+constant f reduces by long division. ``_pow_mod`` (square and multiply, X^p for factor)
+and ``_compose_mod`` (Horner, X^(p²) = X^p∘X^p) run on the same kernel, packed once.
 ``_euclid``, under ``_gcd``, ``_xgcd`` and ``_resultant`` (which reads the remainders'
 lengths and leading coefficients), is Euclid on packed ints with the same slot reduction,
 by long division only for a gcd or resultant of an operand below ``_EUCLID_PACKED``.
@@ -201,7 +202,7 @@ def _barrett(f: Sequence[int], p: int):
 
 def _reducer(f: Sequence[int], p: int):
     # a -> a mod f, a, b -> a*b mod f: by the Barrett kernel (rem.kernel, None for a
-    # constant f) if n < len a < 2n, and otherwise by long division.
+    # constant f; rem.n = n) if n < len a < 2n, and otherwise by long division.
     f = _monic(f, p)
     n = len(f) - 1
     kernel = _barrett(f, p) if n else None
@@ -216,7 +217,7 @@ def _reducer(f: Sequence[int], p: int):
         z = mulmod(x, 1 if b is None else x if b is a else _pack(b, k))
         return _trim(_unpack(z, k, n, p))
 
-    rem.kernel = kernel
+    rem.kernel, rem.n = kernel, n
     return rem
 
 
@@ -306,25 +307,37 @@ def _xgcd(a: Sequence[int], b: Sequence[int], p: int):
 
 
 def _pow_mod(base: Sequence[int], k: int, rem, p: int) -> list[int]:
-    # rem is a prebuilt _reducer of the modulus, so callers reuse its Barrett kernel.
-    result = rem([1])
-    acc = rem(base)
-    while k:
-        if k & 1:
-            result = rem(result, acc)
-        k >>= 1
-        if k:
-            acc = rem(acc, acc)
-    return result
+    # base^k mod f, rem = _reducer(f, p): packed once, one mulmod of rem's kernel per
+    # square or product, unpacked once. Base X starts free at X^(k >> s), the least s with
+    # k >> s < deg f, and takes each 1 bit below as a shift inside its square.
+    if not rem.kernel:
+        return []  # every polynomial is 0 modulo a unit
+    n, (kb, mulmod) = rem.n, rem.kernel
+    if list(base) == [0, 1]:
+        s = next(s for s in range(k.bit_length() + 1) if k >> s < n)
+        x = 1 << 8 * kb * (k >> s)
+        for i in range(s - 1, -1, -1):
+            x = mulmod(x, x << 8 * kb if k >> i & 1 else x)
+    else:
+        a = _pack(rem(base), kb)
+        x = a if k else 1
+        for i in range(k.bit_length() - 2, -1, -1):
+            x = mulmod(x, x)
+            if k >> i & 1:
+                x = mulmod(x, a)
+    return _trim(_unpack(x, kb, n, p))
 
 
-def _compose_mod(outer, inner, modulus, p):
-    # outer(inner) mod modulus by Horner; only benchmarks/tracing.py binds it.
-    rem = _reducer(modulus, p)
-    result: list[int] = []
-    for coeff in reversed(list(outer)):
-        result = _add(rem(result, inner), [coeff], p)
-    return result
+def _compose_mod(outer: Sequence[int], inner: Sequence[int], rem, p: int) -> list[int]:
+    # outer(inner) mod f, rem = _reducer(f, p), by Horner's rule on rem's kernel: one
+    # mulmod per coefficient of outer below its lead (a slot-0 add keeps slot 0 < 3p).
+    if not rem.kernel:
+        return []
+    n, (kb, mulmod) = rem.n, rem.kernel
+    y, x = _pack(inner if len(inner) <= n else rem(inner), kb), 0
+    for c in reversed(outer):
+        x = mulmod(x, y) + c if x else c
+    return _trim(_unpack(x, kb, n, p))
 
 
 def _deriv(a: Sequence[int], p: int) -> list[int]:

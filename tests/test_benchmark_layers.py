@@ -7,6 +7,7 @@ changed.
 """
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -24,6 +25,30 @@ def test_every_traced_layer_resolves(monkeypatch):
                 for attr in path.split("."):
                     assert hasattr(owner, attr), (layer.name, mod_key, path)
                     owner = getattr(owner, attr)
+    finally:
+        for name in ("tracing", "workloads", "inputs"):
+            sys.modules.pop(name, None)
+
+
+def test_frobenius_layers_see_the_work(monkeypatch):
+    # The tracer's X^p and X^(p^2) layers count calls of poly._pow_mod(..., k == p) and
+    # poly._compose_mod, so factor must reach both through those two names.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    try:
+        tracing = importlib.import_module("tracing")
+        mods = importlib.import_module("workloads").load_program()
+        field, rng = mods.ff.PrimeField(10007), random.Random(8)
+        f = next(f for f in (mods.poly.Poly(field, [rng.randrange(10007) for _ in range(8)]
+                                            + [1]) for _ in range(1000))
+                 if mods.factor.is_irreducible(f))
+        tracer = tracing.Tracer(
+            mods, ("poly.pow_mod", "poly.compose_mod", "factor.is_irreducible")).install()
+        try:
+            assert mods.factor.is_irreducible(f)
+        finally:
+            tracer.uninstall()
+        assert tracer.counters["factor.frobenius.compositions"] > 0
+        assert tracer.summary()["poly.compose_mod"]["calls"] > 0
     finally:
         for name in ("tracing", "workloads", "inputs"):
             sys.modules.pop(name, None)

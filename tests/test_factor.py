@@ -11,6 +11,7 @@ from progressio import (
     gcd,
     is_irreducible,
     naive_factor,
+    naive_mul,
     parse_poly,
     pow_mod,
 )
@@ -346,25 +347,57 @@ def test_no_frobenius_where_the_test_cannot_use_it(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 10007, (1 << 61) - 1])
 def test_square_and_shift_xp_matches_pow_mod(p):
-    # X^p mod f is a packed squaring per bit of p and a shift step per 1 bit, and the
-    # rows X^(i*p) mod f come by the linear map g -> X^p * g, at every p. The oracles
-    # are right-to-left powering with long division, and pow_mod.
+    # The independent check of poly's packed _pow_mod (X^p by its square-and-shift start)
+    # and _compose_mod (X^(p^2) = X^p(X^p) by Horner): many tests take pow_mod as their
+    # X^(p^d) reference, and this one vouches for it. The references are square-and-
+    # multiply and Horner from oracle.naive_mul and long division, which share no code
+    # with the Barrett kernel. The rows X^(i*p) mod f come by the map g -> X^p * g.
     import progressio.factor as fmod
-    from progressio.poly import _divmod, _mul, _pow_mod, _reducer
+    from progressio.poly import _compose_mod, _pow_mod, _reducer
 
     rng = random.Random(p)
     field = PrimeField(p)
     x = Poly.x(field)
+    draw = lambda length: Poly(field, [rng.randrange(p) for _ in range(length)])
+
+    def power(base, k, modulus):
+        result, acc = Poly.one(field) % modulus, base % modulus
+        while k:
+            if k & 1:
+                result = naive_mul(result, acc) % modulus
+            acc, k = naive_mul(acc, acc) % modulus, k >> 1
+        return result
+
+    def horner(outer, inner, modulus):
+        result = Poly.zero(field)
+        for c in reversed(outer.coeffs):
+            result = (naive_mul(result, inner) + c) % modulus
+        return result
+
     for n in (1, 2, 4, 8, 9, 33, 128):
         f = [rng.randrange(p) for _ in range(n)] + [1]
-        xp = _pow_mod([0, 1], p, lambda a, b=(1,): _divmod(_mul(a, b, p), f, p)[1], p)
-        assert fmod._xp(f, _reducer(f, p), p) == xp, (p, n)
-        modulus = Poly(field, f)
-        assert Poly(field, xp) == pow_mod(x, p, modulus)
+        modulus, rem = Poly(field, f), _reducer(f, p)
+        xp = _pow_mod([0, 1], p, rem, p)
+        assert Poly(field, xp) == power(x, p, modulus), (p, n)
         rows = fmod._frobenius_rows(xp, f, p)
         assert len(rows) == n
         for i in range(n) if n < 128 else (0, 1, n // 2, n - 1):  # pow_mod is slow
             assert Poly(field, rows[i]) == pow_mod(x, i * p, modulus), (p, n, i)
+        if n == 128:
+            continue  # the references are quadratic per step
+        xp2 = _compose_mod(xp, xp, rem, p)
+        assert Poly(field, xp2) == horner(Poly(field, xp), Poly(field, xp), modulus)
+        assert Poly(field, xp2) == power(x, p * p, modulus), (p, n)
+        # Bases X, 0, 1, reduced, longer than f, longer than 2 deg f.
+        bases = [x, Poly.zero(field), Poly.one(field), draw(n), draw(n + 1 + n // 2),
+                 draw(2 * n + 3)]
+        for base in bases:
+            for k in (0, 1, 2, p, (p - 1) // 2, rng.randrange(1 << 64)):
+                got = _pow_mod(base.coeffs, k, rem, p)
+                assert Poly(field, got) == power(base, k, modulus), (p, n, base, k)
+            outer = draw(n + 2)
+            got = _compose_mod(outer.coeffs, base.coeffs, rem, p)
+            assert Poly(field, got) == horner(outer, base, modulus), (p, n, base)
 
 
 def test_engine_matches_sympy_galoistools():
@@ -489,18 +522,19 @@ def test_frobenius_data_built_once_per_squarefree_part(monkeypatch):
     import progressio.factor as fmod
 
     built = []
-    frobenius_rows, xp_ = fmod._frobenius_rows, fmod._xp
+    frobenius_rows, pow_mod_ = fmod._frobenius_rows, fmod._pow_mod
 
     def count_rows(xp, f, p):
         built.append("rows")
         return frobenius_rows(xp, f, p)
 
-    def count_xp(f, rem, p):
-        built.append("xp")
-        return xp_(f, rem, p)
+    def count_xp(base, k, rem, p):
+        if k == p:  # X^p; the splitting stage's powers have k = (p - 1) / 2
+            built.append("xp")
+        return pow_mod_(base, k, rem, p)
 
     monkeypatch.setattr(fmod, "_frobenius_rows", count_rows)
-    monkeypatch.setattr(fmod, "_xp", count_xp)
+    monkeypatch.setattr(fmod, "_pow_mod", count_xp)
     rng = random.Random(29)
     for p in (2, 3, 5, 10007, (1 << 61) - 1):
         field = PrimeField(p)
@@ -513,7 +547,7 @@ def test_frobenius_data_built_once_per_squarefree_part(monkeypatch):
             built.clear()
             assert factorize(f, seed=rng.randrange(100)).expand() == f
             assert built.count("rows") <= len(parts)
-            assert built.count("xp") <= len(parts)
+            assert 0 < built.count("xp") <= len(parts)
 
 
 def test_count_irreducibles_examples():

@@ -504,7 +504,10 @@ def test_pow_mod_and_compose_mod():
     g = parse_poly(F5, "2*X+1")
     h = parse_poly(F5, "X^2+3")
     direct = (Poly.constant(F5, 2) * h + 1) % f
-    assert Poly(F5, _compose_mod(g.coeffs, h.coeffs, f.coeffs, 5)) == direct
+    assert Poly(F5, _compose_mod(g.coeffs, h.coeffs, _reducer(f.coeffs, 5), 5)) == direct
+    # Every polynomial is 0 modulo a unit.
+    assert _compose_mod([3], [1], _reducer([2], 5), 5) == []
+    assert pow_mod(x, 0, Poly.constant(F5, 2)) == Poly.zero(F5)
 
 
 def test_pow_mod_rejects_negative_exponent():

@@ -20,3 +20,19 @@ def test_bench_sweep_writes_its_table(tmp_path):
     for row in rows:
         assert row.keys() == {"p", "a", "b", "n", "search_us", "sieve_us"}
         assert row["search_us"] > 0 and row["sieve_us"] > 0
+
+
+def test_bench_euclid_writes_its_table(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(TOOLS / "bench_euclid.py"), "--rounds", "1",
+                    "--out", str(out)], check=True, capture_output=True, timeout=120)
+    table = json.loads(out.read_text())
+    assert table["meta"].keys() == {"python", "cpus", "pairs", "rounds", "with_parent"}
+    assert table["meta"]["rounds"] == 1 and table["meta"]["with_parent"] is False
+    rows = table["rows"]
+    keys = [(row["kernel"], row["n"], row["p"]) for row in rows]
+    assert len(keys) == len(set(keys)) == 84
+    assert {kernel for kernel, _, _ in keys} == {"_gcd", "_resultant", "_xgcd"}
+    for row in rows:
+        times = [v for key, v in row.items() if key.endswith("_us") or key == "us"]
+        assert times and all(t > 0 for t in times), row
