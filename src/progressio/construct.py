@@ -15,7 +15,9 @@ the full symmetric group (the ``galois`` module draws that conclusion).
 
 ``build_c`` yields candidate multipliers and ``build_stable`` returns the
 first whose certificate ``certificate_violations`` passes: the verifier is
-the construction's only acceptance test.
+the construction's only acceptance test. It checks once that all nine
+values share one field, then runs every clause on raw coefficient lists
+through poly's kernels, forming b·c and a·b once.
 
 Everything here is deterministic: scans run over field elements in
 ascending residue order, so two runs with equal inputs produce identical
@@ -40,7 +42,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .ff import FieldElem, PrimeField
-from .poly import Poly, gcd, is_separable, xgcd
+from .poly import (ZERO_DEGREE, Poly, _add, _deriv, _eval, _gcd, _mul, _mul_scalar,
+                   gcd, xgcd)
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,53 +180,45 @@ class StableCertificate:
 
 def certificate_violations(cert: StableCertificate) -> list[str]:
     """Names of all violated certificate clauses (empty when valid)."""
-    out = []
     field = cert.field
-    a, b, c = cert.a, cert.b, cert.c
-    n, m, e = cert.n, cert.m, cert.e
-    bad_field = any(
-        v.field != field
-        for v in (a, b, c, cert.h1, cert.h2, cert.alpha1, cert.alpha2,
-                  cert.gamma1, cert.gamma2)
-    )
-    if bad_field:
+    values = (cert.a, cert.b, cert.c, cert.h1, cert.h2,
+              cert.alpha1, cert.alpha2, cert.gamma1, cert.gamma2)
+    if any(v.field != field for v in values):
         return ["field-consistency"]
+    p, n, m, e = field.modulus, cert.n, cert.m, cert.e
+    a, b, c, h1, h2 = (v.coeffs for v in values[:5])
+    al1, al2, g1, g2 = (v.residue for v in values[5:])
+    bc, ab = _mul(b, c, p), _mul(a, b, p)
+    out = []
 
-    def check(name: str, ok: bool):
+    def deg(f) -> int | float:
+        return len(f) - 1 if f else ZERO_DEGREE
+
+    def check(name: str, ok):
         if not ok:
             out.append(name)
 
-    check("pencil-coprime", not b.is_zero() and gcd(a, b).is_one())
-    check("m-definition", not b.is_zero()
-          and m == max(a.degree, 2 + int(b.degree)))
-    check("degrees", (b * c).degree == n and a.degree < n)
+    check("pencil-coprime", b and _gcd(a, b, p) == [1])
+    check("m-definition", b and m == max(deg(a), deg(b) + 2))
+    check("degrees", deg(bc) == n and deg(a) < n)
     check("degree/exponent", 2 * e > n and e < n - m
-          and math.gcd(e, n * field.modulus) == 1)
+          and math.gcd(e, n * p) == 1)
     for name, alpha, gamma, k, h in (
-        ("witness1-identity", cert.alpha1, cert.gamma1, e, cert.h1),
-        ("witness2-identity", cert.alpha2, cert.gamma2, 2, cert.h2),
+        ("witness1-identity", al1, g1, e, h1),
+        ("witness2-identity", al2, g2, 2, h2),
     ):
-        # Degrees first, so a tampered exponent is never expanded.
-        lhs = a + alpha * b * c
-        check(name, k >= 0 and k + h.degree == lhs.degree
-              and (h.is_zero() or lhs == Poly.linear(field, gamma) ** k * h))
-    for label, h, gamma in (("h1", cert.h1, cert.gamma1),
-                            ("h2", cert.h2, cert.gamma2)):
-        if h.is_zero():
-            check(f"{label}-separable", False)
-            check(f"{label}-coprime", False)
-            continue
-        check(f"{label}-separable", is_separable(h))
-        check(f"{label}-coprime",
-              not a.is_zero()
-              and gcd(h, Poly.linear(field, gamma) * a).is_one())
-    check("alphas", bool(cert.alpha1) and bool(cert.alpha2)
-          and cert.alpha1 != cert.alpha2)
-    ab = a * b
-    check("gammas", cert.gamma1 != cert.gamma2 and not ab.is_zero()
-          and ab(cert.gamma1) != 0 and ab(cert.gamma2) != 0)
-    check("c-coprime", not (a.is_zero() and c.is_zero())
-          and gcd(a, c).is_one())
+        # Degrees first, and no power for h = 0 (whose degree bounds no k), so a
+        # tampered exponent is never expanded.
+        lhs = _add(a, _mul_scalar(bc, alpha, p), p)
+        check(name, k >= 0 and k + deg(h) == deg(lhs) and (
+            not h or lhs == _mul((Poly.linear(field, gamma) ** k).coeffs, h, p)))
+    for label, h, gamma in (("h1", h1, g1), ("h2", h2, g2)):
+        # Raw gcd(0, f) = monic f, here 0 or of degree >= 1, so h = 0 fails both.
+        check(f"{label}-separable", _gcd(h, _deriv(h, p), p) == [1])
+        check(f"{label}-coprime", a and _gcd(h, _mul((-gamma % p, 1), a, p), p) == [1])
+    check("alphas", al1 and al2 and al1 != al2)
+    check("gammas", g1 != g2 and _eval(ab, g1, p) and _eval(ab, g2, p))
+    check("c-coprime", _gcd(a, c, p) == [1])
     return out
 
 

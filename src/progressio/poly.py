@@ -99,10 +99,9 @@ def _mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         return []
     la, lb = len(a), len(b)
     # Schoolbook/Kronecker time, CPython 3.11, p = 10007: 2x16 1.0, 3x12 1.1, 5x6 1.2,
-    # 8x8 1.8, 2x65 1.7; slots over 8 bytes pack slowly, p = 2^61 - 1: 8x8 1.0,
-    # 10x10 0.7, 12x12 1.2, 5x65 1.0, 8x65 1.3.
-    if la * lb < 30 or (la * lb < 5 * (la + lb)
-                        and _slot_bytes(min(la, lb) * (p - 1) ** 2) > 8):
+    # 8x8 1.8, 2x65 1.7; p = 2^61 - 1, slots over 8 bytes: 6x6 0.85, 7x7 0.97, 8x8 1.10,
+    # 9x9 1.12, 4x20 0.89, 5x30 1.07, 5x65 1.16, 6x12 1.01, 3x40 0.85.
+    if la * lb < 30:
         out = [0] * (la + lb - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -506,11 +505,10 @@ class Poly:
     # -- comparisons / hashing
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            return other.field == self.field and other.coeffs == self.coeffs
-        if isinstance(other, (int, FieldElem)):
-            return self.coeffs == self._coerce(other)
-        return NotImplemented
+        if isinstance(other, (Poly, FieldElem)) and other.field != self.field:
+            return False  # another field's polynomial or scalar
+        oc = self._coerce(other)
+        return NotImplemented if oc is None else self.coeffs == oc
 
     def __hash__(self):
         return hash((self.field.modulus, self.coeffs))

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from itertools import islice
 
@@ -421,3 +422,109 @@ def test_tampered_certificate_text_is_refused(case):
         assert exc.clause == "certificate"
     else:
         assert record == certify_sn(original).to_text()
+
+
+def _reference_violations(cert):
+    """The verifier's clauses on Poly values and the public gcd, as first written."""
+    out = []
+    field = cert.field
+    a, b, c = cert.a, cert.b, cert.c
+    n, m, e = cert.n, cert.m, cert.e
+    bad_field = any(
+        v.field != field
+        for v in (a, b, c, cert.h1, cert.h2, cert.alpha1, cert.alpha2,
+                  cert.gamma1, cert.gamma2)
+    )
+    if bad_field:
+        return ["field-consistency"]
+
+    def check(name, ok):
+        if not ok:
+            out.append(name)
+
+    check("pencil-coprime", not b.is_zero() and gcd(a, b).is_one())
+    check("m-definition", not b.is_zero()
+          and m == max(a.degree, 2 + int(b.degree)))
+    check("degrees", (b * c).degree == n and a.degree < n)
+    check("degree/exponent", 2 * e > n and e < n - m
+          and math.gcd(e, n * field.modulus) == 1)
+    for name, alpha, gamma, k, h in (
+        ("witness1-identity", cert.alpha1, cert.gamma1, e, cert.h1),
+        ("witness2-identity", cert.alpha2, cert.gamma2, 2, cert.h2),
+    ):
+        lhs = a + alpha * b * c
+        check(name, k >= 0 and k + h.degree == lhs.degree
+              and (h.is_zero() or lhs == Poly.linear(field, gamma) ** k * h))
+    for label, h, gamma in (("h1", cert.h1, cert.gamma1),
+                            ("h2", cert.h2, cert.gamma2)):
+        if h.is_zero():
+            check(f"{label}-separable", False)
+            check(f"{label}-coprime", False)
+            continue
+        check(f"{label}-separable", is_separable(h))
+        check(f"{label}-coprime",
+              not a.is_zero()
+              and gcd(h, Poly.linear(field, gamma) * a).is_one())
+    check("alphas", bool(cert.alpha1) and bool(cert.alpha2)
+          and cert.alpha1 != cert.alpha2)
+    ab = a * b
+    check("gammas", cert.gamma1 != cert.gamma2 and not ab.is_zero()
+          and ab(cert.gamma1) != 0 and ab(cert.gamma2) != 0)
+    check("c-coprime", not (a.is_zero() and c.is_zero())
+          and gcd(a, c).is_one())
+    return out
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_tampered_text())
+def test_verifier_matches_the_reference_on_tampered_text(case):
+    # The raw-list verifier is never weaker (nor stricter) than the clauses
+    # written on Poly values: same violation list, in the same order.
+    cert = certificate_from_text(case[1])
+    assert certificate_violations(cert) == _reference_violations(cert)
+
+
+def _trap_certificates(cert):
+    """Hand-built edge cases: zero parts, empty degrees, extreme exponents."""
+    field, zero = cert.field, Poly.zero(cert.field)
+    other = PrimeField(11 if field.modulus != 11 else 13)
+    lhs_zero = -(cert.alpha1 * cert.b * cert.c)  # a making a + alpha1*b*c = 0
+    replace = dataclasses.replace
+    traps = {
+        "zero h1": replace(cert, h1=zero),
+        "zero h2": replace(cert, h2=zero),
+        "c = 0, n = -1": replace(cert, c=zero, n=-1),
+        "e = -1": replace(cert, e=-1),
+        "e = -1, deg h1 = deg lhs + 1": replace(
+            cert, e=-1, h1=cert.h1 * Poly.x(field) ** (cert.e + 1)),
+        "e = 10^30": replace(cert, e=10**30),
+        "zero h1, lhs = 0, e = 10^30": replace(cert, a=lhs_zero, h1=zero, e=10**30),
+        "a = 0": replace(cert, a=zero),
+        "a = 0, constant h1": replace(cert, a=zero, h1=Poly.constant(field, 3)),
+        "b = 0": replace(cert, b=zero),
+        "b = 0, a = 1, m = 0": replace(cert, a=Poly.one(field), b=zero, m=0),
+        "a = c = 0": replace(cert, a=zero, c=zero),
+        "alpha1 = 0": replace(cert, alpha1=field(0)),
+        "alpha2 = alpha1": replace(cert, alpha2=cert.alpha1),
+        "gamma2 = gamma1": replace(cert, gamma2=cert.gamma1),
+        "foreign alpha1": replace(cert, alpha1=other(1)),
+        "constant h1": replace(cert, h1=Poly.constant(field, 3)),
+        "n, m = 0": replace(cert, n=0, m=0),
+    }
+    if field.modulus < 1000:  # X^p + 1, a p-th power with derivative 0
+        traps["h2 a p-th power"] = replace(
+            cert, h2=Poly(field, [1] + [0] * (field.modulus - 1) + [1]))
+    return traps
+
+
+@pytest.mark.parametrize("which", [0, 2, 4])
+def test_verifier_matches_the_reference_on_traps(which):
+    cert = _FUZZ_CERTS[which]
+    traps = _trap_certificates(cert)
+    for label, trap in traps.items():
+        assert certificate_violations(trap) == _reference_violations(trap), label
+    assert "degrees" in certificate_violations(traps["c = 0, n = -1"])
+    assert "witness1-identity" in certificate_violations(traps["e = 10^30"])
+    lhs_zero = certificate_violations(traps["zero h1, lhs = 0, e = 10^30"])
+    assert "witness1-identity" not in lhs_zero and "h1-separable" in lhs_zero
+    assert certificate_violations(traps["foreign alpha1"]) == ["field-consistency"]

@@ -204,9 +204,9 @@ KERNEL_MODULI = (2, 3, 101, 10007, (1 << 61) - 1)
 
 
 def test_mul_matches_convolution_across_the_size_switch():
-    # Lengths on both sides of the multiply crossover (la*lb = 30 with slots of up
-    # to 8 bytes, la*lb = 5(la + lb) with wider ones, as at 2^61 - 1), unbalanced
-    # pairs such as 2 x 128 and 5 x 65, and squares (one packed operand).
+    # Lengths on both sides of the multiply crossover (la*lb = 30 at every slot
+    # width, 2^61 - 1's slots over 8 bytes included), unbalanced pairs such as
+    # 2 x 128 and 5 x 65, and squares (one packed operand).
     rng = random.Random(37)
     lengths = [1, 2, 4, 5, 6, 39, 40, 41, 64, 128, 300]
     crossover = [(2, 14), (2, 15), (3, 10), (5, 6), (4, 8), (5, 65), (65, 5), (4, 65),
@@ -548,3 +548,30 @@ def test_poly_hash_and_immutability():
     assert hash(f) == hash(parse_poly(F5, "X+1"))
     with pytest.raises(AttributeError):
         f.coeffs = ()
+
+
+def test_equality_with_a_foreign_field_scalar_is_false():
+    # Like Poly against Poly and FieldElem against FieldElem: unequal, no raise.
+    f = Poly(F5, [3])
+    assert f == F5(3) and f == 3 and f == 8
+    assert not f == F7(3) and f != F7(3) and F7(3) != f
+    assert Poly(F5, [3]) != Poly(F7, [3])
+    with pytest.raises(FieldMismatch):
+        f + F7(3)
+
+
+@pytest.mark.parametrize("p", [2, 7, (1 << 61) - 1])
+def test_reflected_operators_match_residue_arithmetic(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(20):
+        r = rng.randrange(1, p)
+        x = field(r)
+        assert (3 - x).residue == (3 - r) % p
+        assert (1 / x).residue == pow(r, -1, p)
+        assert (x ** -2).residue == pow(r * r, -1, p)
+        f = rand_poly(rng, field, 4)
+        k = rng.randrange(-p, 2 * p)
+        want = [-c % p for c in f.coeffs] or [0]
+        want[0] = (want[0] + k) % p
+        assert (k - f).coeffs == tuple(_trim(want))

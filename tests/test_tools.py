@@ -8,6 +8,20 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
+def test_trees_load_imports_submodules_the_package_skips():
+    # The package __init__ imports factor but not cli; load returns either.
+    sys.path.insert(0, str(TOOLS))
+    try:
+        from trees import HERE, load
+    finally:
+        sys.path.remove(str(TOOLS))
+    cli = load(HERE, "trees_here", "cli")
+    factor = load(HERE, "trees_here", "factor")
+    assert cli.__name__ == "trees_here.cli" and callable(cli.main)
+    assert factor.__name__ == "trees_here.factor" and callable(factor.factorize)
+    assert cli.__file__ == str(HERE / "progressio" / "cli.py")
+
+
 def test_bench_sweep_writes_its_table(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(TOOLS / "bench_sweep.py"), "--rounds", "1",
