@@ -1,7 +1,7 @@
 """Worker-pool plumbing for embarrassingly parallel scans.
 
-The environment variable PROGRESSIO_THREADS caps the number of worker
-processes, which never exceeds the CPU count; unset or 0 means one per CPU.
+The environment variable PROGRESSIO_THREADS caps the worker processes, never above
+the CPUs in this process's affinity mask; unset or 0 means one per CPU in it.
 Work is split into contiguous chunks and merged additively, so results
 never depend on the partition or on completion order.
 """
@@ -12,8 +12,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 
+def _cpus() -> int:  # the CPUs this process may run on; os.cpu_count() ignores affinity
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def worker_count() -> int:
-    cpus = os.cpu_count() or 1
+    cpus = _cpus()
     raw = os.environ.get("PROGRESSIO_THREADS", "0").strip()
     try:
         requested = int(raw)
@@ -26,7 +31,7 @@ def worker_count() -> int:
 
 def run_chunked(fn, jobs: list, workers: int) -> list:
     """Apply fn to each job tuple, possibly across processes; keep order."""
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), _cpus())
     if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -20,7 +20,7 @@ from .construct import (
     certificate_from_text,
     certificate_to_text,
 )
-from .dirichlet import (_line_disc, _neg_inverses, _root_sieve, density_scan,
+from .dirichlet import (_line_disc, _root_sieve, density_scan,
                         search_constructed, search_exhaustive)
 from .errors import MathError, ParseError, UsageError
 from .factor import (_disc_admits, _discriminant, count_irreducibles, factorize,
@@ -188,7 +188,7 @@ def _selftest_suites(level: str):
         field = PrimeField(p)
         cert = build_stable(parse_poly(field, "X+1"), Poly.one(field), n, 0)
         bc = cert.b * cert.c
-        marked = _root_sieve(cert.a.coeffs, _neg_inverses(bc.coeffs, p), p)
+        marked = _root_sieve(cert.a.coeffs, bc.coeffs, p)
         disc = _line_disc(p, n, cert.a.coeffs, bc.coeffs, range(1, p))
         members = [cert.a + alpha * bc for alpha in range(1, p)]
         irreducible = [is_irreducible(m) for m in members]

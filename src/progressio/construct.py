@@ -72,19 +72,6 @@ def choose_e(n: int, m: int, p: int) -> int:
     raise NoValidE(f"no admissible e in ({n}/2, {n - m}) coprime to {n}*{p}")
 
 
-def _solve_companion(a: Poly, modulus: Poly, rhs: Poly) -> tuple[Poly, Poly]:
-    # Unique c0 with deg c0 < deg modulus and a = modulus*h + rhs*c0;
-    # needs gcd(modulus, rhs) = 1.
-    g, _, v = xgcd(modulus, rhs)
-    if not g.is_one():
-        raise PreconditionViolated("companion solve needs coprime inputs")
-    c0 = (v * a) % modulus
-    h, r = divmod(a - rhs * c0, modulus)
-    if not r.is_zero():
-        raise AssertionError("companion division was not exact")
-    return c0, h
-
-
 def build_c(
     a: Poly,
     b: Poly,
@@ -96,11 +83,11 @@ def build_c(
 ) -> Iterator[tuple[Poly, Poly, Poly]]:
     """Candidates c, with h_i, such that a = p_i*h_i + alpha_i*b*c (i = 1, 2).
 
-    The two congruences are solved with the extended Euclidean algorithm
-    and glued; the leftover degree freedom is a factor s of degree
+    c_bar = a/(alpha_i*b) mod p_i takes one extended-Euclid cofactor per modulus,
+    glued by CRT; the leftover degree freedom is a factor s of degree
     target_deg_c - deg p1 - deg p2, scanned over the family
     lambda*(X-beta)^(deg s - 1)*(X-gamma') in ascending order. Validation
-    and the solves run on call; the iterator yields (c, h1, h2) for every s
+    and the CRT step run on call; the iterator yields (c, h1, h2) for every s
     past the root and p-th power filters, and leaves the tests on h_i to
     the caller (``build_stable`` runs the certificate verifier).
     """
@@ -125,11 +112,15 @@ def build_c(
         raise PreconditionViolated("target degree must exceed deg p1 + deg p2")
 
     cross = (a1 * b * p2, a2 * b * p1)
-    # Solve a = p_i*h_{i,0} + cross_i*c_i with deg c_i < deg p_i.
-    c1, h10 = _solve_companion(a, p1, cross[0])
-    c2, h20 = _solve_companion(a, p2, cross[1])
+    # c_bar = a/(alpha_i*b) mod p_i, glued by CRT as p1*c2 + p2*c1, c_i = a/cross_i mod
+    # p_i by xgcd's cofactor (gcd 1 by the checks above); bases: (a - alpha_i*b*c_bar)/p_i.
+    c1, c2 = (xgcd(q, x)[2] * a % q for q, x in zip((p1, p2), cross))
     c_bar = p1 * c2 + p2 * c1
-    bases = (h10 - a1 * b * c2, h20 - a2 * b * c1)
+    bc_bar = b * c_bar
+    quots = [divmod(a - al * bc_bar, q) for al, q in ((a1, p1), (a2, p2))]
+    if any(not r.is_zero() for _, r in quots):
+        raise AssertionError("CRT division was not exact")
+    bases = [h for h, _ in quots]
 
     deg_s = target_deg_c - int(p1.degree) - int(p2.degree)
     bp = (b * p1, b * p2)

@@ -12,7 +12,7 @@ symmetric group, a fraction of about 1/n of specializations is
 irreducible (the n-cycle proportion), so an exhaustive scan over the
 p - 1 nonzero scales should find about p/n hits. About 1 - D_n/n! of them (D_n the
 derangements) have a root x, so are reducible (n >= 2); as alpha = -a(x)/bc(x), one
-pass over F_p marks those, a byte each, so p - 1 is capped at the exhaustive guard.
+pass over F_p, evaluating and inverting, marks each a byte; p - 1 is capped at the guard.
 On a line base + t*direction, 2n - 1 resultants fix Disc(t), of degree <= 2n - 2, which
 marks about half the rest (``_disc_admits``) before the test. The exhaustive scan sieves
 as Eratosthenes did (Rosen, GTM 210, ch. 4): the c with g | a + b*c are one class mod g;
@@ -138,7 +138,7 @@ def _factor_sieve(p, a, b, deg_c, top) -> bytearray:
     # H*X^d) mod g, and idx(c) = p^d*idx(H) + sum L_i*p^i. Per block of H's k fastest
     # digits T, cols[i][t] = (-T*X^d mod g)_i for the t-th T; the rest of H moves r to low.
     if deg_c == 0:
-        return _root_sieve(a, _neg_inverses(b, p) if top else (), p)[1:]
+        return _root_sieve(a, b if top else [], p)[1:]
     marks = bytearray((p - 1) * p**deg_c)
     for g in ([*v, 1] for d in range(1, top + 1) for v in product(range(p), repeat=d)):
         b_g = _divmod(b, g, p)[1]
@@ -195,16 +195,13 @@ def _line_disc(p, n, base, direction, scales):
     return disc
 
 
-def _neg_inverses(bc, p: int):
-    # -1/bc(x) for x in F_p, 0 where bc(x) = 0; lazy, so a single scan holds no table.
-    return (pow(-v, -1, p) if v else 0 for v in (_eval(bc, x, p) for x in range(p)))
-
-
-def _root_sieve(a_coeffs, neg_inverses, p: int) -> bytearray:
+def _root_sieve(a, bc, p: int) -> bytearray:
+    # A byte per alpha in F_p, set where a + alpha*bc has a root x: alpha = -a(x)/bc(x),
+    # one pass over x. A zero of bc marks nothing (a root of both is ruled out by gcd 1).
     marked = bytearray(p)
-    for x, s in enumerate(neg_inverses):
-        if s:
-            marked[_eval(a_coeffs, x, p) * s % p] = 1
+    for x in range(p):
+        if v := _eval(bc, x, p):
+            marked[_eval(a, x, p) * pow(-v, -1, p) % p] = 1
     return marked
 
 
@@ -249,7 +246,7 @@ def density_scan(cert: StableCertificate, workers: int | None = None) -> Density
     if workers is None:
         workers = worker_count()
     a, bc = list(cert.a.coeffs), list((cert.b * cert.c).coeffs)
-    marked = _root_sieve(a, _neg_inverses(bc, p), p)
+    marked = _root_sieve(a, bc, p)
     disc = _line_disc(p, cert.n, a, bc, range(1, p))
     jobs = [(p, cert.n, a, bc, range(lo, hi), bytes(marked[lo:hi]), disc)
             for lo, hi in split_range(1, p, workers * 8)]

@@ -12,6 +12,7 @@ X^(p^e) - X over a block. Factorization divides each nontrivial product out whil
 repeated factor, and for odd p its character is (-1)^(n-r), r the number of distinct
 irreducible factors (Swan 1962). So an admitted reducible f has a factor of degree
 <= n/2, and for odd p (r >= 3) <= n/3; the test stops there or at a nontrivial gcd.
+Like the loop it starts at d = 1, the root gcd, or at d = 2 for a sieved f (rootless).
 
 Factorization runs squarefree decomposition (with p-th-root recursion
 when the derivative vanishes), the distinct-degree loop, then randomized
@@ -153,28 +154,24 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
     """Irreducibility test; coefficients normalized, degree n >= 1.
 
     Unless ``sieved`` (the caller proved f rootless and passing this check): False if
-    disc f fails ``_disc_admits`` or f has a root. Then False iff, for 2 <= d <= top
-    (n/2 at p = 2, n/3 for odd p), a gcd of f with the product of the X^(p^d) - X over
-    a block [2^i, 2^(i+1)), cut at top, is nontrivial. So at top = 0, and at top = 1
-    when sieved, nothing after the discriminant is computed.
+    disc f fails ``_disc_admits``. Then False iff, for first <= d <= top (n/2 at p = 2,
+    n/3 for odd p), a gcd of f with the product of the X^(p^d) - X over a Ben-Or block
+    [2^i, 2^(i+1)), cut at top, is nontrivial. Block d = 1 is the root gcd, so first is
+    1, or 2 when sieved; at top < first nothing after the discriminant is computed.
     """
     f, n = _monic(coeffs, p), len(coeffs) - 1
     if not sieved and not _disc_admits(_discriminant(f, p), n, p):
         return False
-    top = n // 2 if p == 2 else n // 3
-    if top == 0 or sieved and top == 1:
+    top, first = n // 2 if p == 2 else n // 3, 2 if sieved else 1
+    if top < first:
         return True  # the discriminant, and if sieved the root sieve, left no factor
     rem = _reducer(f, p)
     h = xp = _pow_mod([0, 1], p, rem, p)
-    if not sieved and len(_gcd(_sub(xp, [0, 1], p), f, p)) > 1:
-        return False  # a root
-    for d in range(2, top + 1):
-        if top > 2:  # iterates of the Frobenius rows
-            if d == 2:
-                frob = _linear_map(_frobenius_rows(xp, f, p), p)
-            h = frob(h)
-        else:  # X^p(X^p) by Horner's rule: n - 1 packed Barrett mulmods
-            h = _compose_mod(xp, xp, rem, p)
+    for d in range(first, top + 1):
+        if d == 2 and top > 2:  # X^(p^d) as iterates of the Frobenius rows
+            frob = _linear_map(_frobenius_rows(xp, f, p), p)
+        if d > 1:  # at top = 2, X^p(X^p) by Horner: n - 1 packed Barrett mulmods
+            h = frob(h) if top > 2 else _compose_mod(xp, xp, rem, p)
         hx = _sub(h, [0, 1], p)
         acc = hx if d & (d - 1) == 0 else rem(acc, hx)
         if (d == top or d & (d + 1) == 0) and len(_gcd(acc, f, p)) > 1:

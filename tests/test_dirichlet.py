@@ -20,7 +20,7 @@ from progressio import (
     search_exhaustive,
 )
 import progressio.dirichlet as dirichlet
-from progressio.dirichlet import SearchReport, _neg_inverses, _root_sieve
+from progressio.dirichlet import SearchReport, _root_sieve
 from progressio.errors import PreconditionViolated, TooLarge
 from progressio.factor import _discriminant
 from progressio.poly import Poly, _add, _eval, _monic, _mul, _mul_scalar, _resultant
@@ -433,7 +433,7 @@ def test_root_sieve_marks_exactly_the_rooted_members(p):
         if not gcd(Poly(field, a), Poly(field, bc)).is_one():
             continue
         done += 1
-        marked = _root_sieve(a, _neg_inverses(bc, p), p)
+        marked = _root_sieve(a, bc, p)
         assert len(marked) == p
         for alpha in range(p):
             member = _add(a, _mul_scalar(bc, alpha, p), p)

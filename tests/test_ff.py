@@ -62,6 +62,19 @@ def test_is_prime_small_table():
         assert is_prime(n) == (n in primes)
 
 
+@pytest.mark.parametrize("n, refusal", [
+    (1763, NotPrime),  # 41 * 43: no factor the trial division reaches
+    (3215031751, NotPrime),  # strong pseudoprime to bases 2, 3, 5, 7
+    (341550071728321, NotPrime),  # strong pseudoprime to bases 2 through 19
+    (3825123056546413051, OutOfRange),  # psi_11: passes every base up to 31, not 37
+])
+def test_miller_rabin_refutes_composites_without_small_factors(n, refusal):
+    assert all(n % q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not is_prime(n)
+    with pytest.raises(refusal):
+        PrimeField(n)
+
+
 def test_inverse_examples():
     F7 = PrimeField(7)
     assert F7.inv(3) == F7(5)

@@ -5,15 +5,15 @@ from progressio._par import run_chunked, split_range, worker_count
 
 
 def test_worker_count_env(monkeypatch):
-    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setenv("PROGRESSIO_THREADS", "3")
-    assert worker_count() == min(3, cpus)
+    assert worker_count() == 3
     monkeypatch.setenv("PROGRESSIO_THREADS", str(10**9))
-    assert worker_count() == cpus
+    assert worker_count() == 4
     monkeypatch.setenv("PROGRESSIO_THREADS", "0")
-    assert worker_count() == (os.cpu_count() or 1)
+    assert worker_count() == 4
     monkeypatch.setenv("PROGRESSIO_THREADS", "not-a-number")
-    assert worker_count() == (os.cpu_count() or 1)
+    assert worker_count() == 4
     monkeypatch.delenv("PROGRESSIO_THREADS")
     assert worker_count() >= 1
 
@@ -55,12 +55,22 @@ def test_run_chunked_caps_processes_at_cpus(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(_par, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert run_chunked(_square, list(range(8)), workers=10**9) == [
         j * j for j in range(8)
     ]
     assert run_chunked(_square, [4, 5], workers=10**9) == [16, 25]
     assert sizes == [3, 2]
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert run_chunked(_square, [1, 2, 3], workers=8) == [1, 4, 9]
     assert sizes == [3, 2]
+
+
+def test_an_affinity_mask_of_one_cpu_means_one_worker(monkeypatch):
+    # os.cpu_count() counts the machine, not the CPUs this process may run on. A
+    # lambda cannot be pickled, so the run below must stay in-process.
+    monkeypatch.delenv("PROGRESSIO_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert worker_count() == 1
+    assert run_chunked(lambda job: job + 1, [1, 2, 3], workers=4) == [2, 3, 4]

@@ -12,7 +12,6 @@ calls, in an order that reverses from round to round. Standard library only.
 
 import argparse
 import json
-import os
 import platform
 import random
 import statistics
@@ -68,8 +67,8 @@ def main() -> None:
         times[fn, n, p, label]), 2) for label in columns[fn]}} for fn in KERNELS for n, p in cells]
     for row in rows if parent else ():
         row["speedup"] = round(row["parent_us"] / row["us"], 2)
-    meta = {"python": platform.python_version(), "cpus": os.cpu_count(), "pairs": PAIRS,
-            "rounds": args.rounds, "with_parent": bool(parent)}
+    meta = {"python": platform.python_version(), "cpus": load(HERE, "change", "_par")._cpus(),
+            "pairs": PAIRS, "rounds": args.rounds, "with_parent": bool(parent)}
     args.out.write_text(json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n")
     print(f"{len(rows)} rows -> {args.out}")
 

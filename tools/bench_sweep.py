@@ -12,7 +12,6 @@ order that reverses from round to round. Standard library only.
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import time
@@ -72,7 +71,7 @@ def main() -> None:
         if args.parent:
             row["speedup"] = round(row["parent_search_us"] / row["search_us"], 2)
         rows.append(row)
-    meta = {"python": platform.python_version(), "cpus": os.cpu_count(),
+    meta = {"python": platform.python_version(), "cpus": load(HERE, "change", "_par")._cpus(),
             "rounds": args.rounds, "with_parent": bool(args.parent)}
     args.out.write_text(json.dumps({"meta": meta, "rows": rows}, indent=1) + "\n")
     print(f"{len(rows)} rows -> {args.out}")
