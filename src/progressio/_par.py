@@ -9,7 +9,6 @@ never depend on the partition or on completion order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def _cpus() -> int:  # the CPUs this process may run on; os.cpu_count() ignores affinity
@@ -34,6 +33,8 @@ def run_chunked(fn, jobs: list, workers: int) -> list:
     workers = min(workers, len(jobs), _cpus())
     if workers <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 

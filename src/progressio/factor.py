@@ -57,31 +57,19 @@ from .poly import (
 )
 
 
-def _mobius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
-
-
 def count_irreducibles(p: int, n: int) -> int:
-    """Exact number of monic irreducibles of degree n over F_p."""
+    """Exact number of monic irreducibles of degree n over F_p: (1/n)·Σ μ(d)·p^(n/d)."""
     if n < 1:
         raise PreconditionViolated("degree must be >= 1")
-    return sum(_mobius(d) * p ** (n // d) for d in _divisors(n)) // n
+    terms, rest, q = [(1, 1)], n, 2  # (μ(d), d) over the squarefree d | n
+    while rest > 1:  # trial division up to √n; a last rest > 1 is prime
+        q = q if q * q <= rest else rest
+        if rest % q == 0:
+            terms += [(-mu, d * q) for mu, d in terms]
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    return sum(mu * p ** (n // d) for mu, d in terms) // n
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +171,7 @@ def is_irreducible(f: Poly) -> bool:
     """True iff f is irreducible over its prime field (degree >= 1)."""
     if f.degree < 1:
         raise ConstantPolynomial("irreducibility needs degree >= 1")
-    return _rabin_irreducible(list(f.coeffs), f.field.modulus)
+    return _rabin_irreducible(f.coeffs, f.field.modulus)
 
 
 # ---------------------------------------------------------------------------

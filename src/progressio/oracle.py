@@ -1,16 +1,16 @@
 """Naive reference implementations used as independent cross-checks.
 
-Nothing here shares code with the production paths: multiplication is a
-plain convolution, the resultant a Sylvester determinant, factorization
-is trial division over a sieved table of irreducibles. These routines
-ship with the package (not only with the test suite) so the ``selftest``
-command can audit an installation in the field; they are deliberately
-slow and guarded to desk scale.
+They share with production only the ``Poly`` value type and, in ``naive_factor``,
+Poly's long division (tested against ``naive_mul``). Multiplication is a plain
+convolution, the resultant a Sylvester determinant, the irreducibles a sieve over
+``naive_mul`` products, factorization trial division by them. They ship with the
+package so ``selftest`` can audit an installation; deliberately slow, desk-scale.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Sequence
 
 from .errors import TooLarge, ZeroPolynomial
@@ -55,14 +55,8 @@ def sylvester_resultant(a: Sequence[int], b: Sequence[int], p: int) -> int:
 
 def _monic_polys(field: PrimeField, degree: int):
     # All monic polynomials of the given degree, ascending low-coefficient code.
-    p = field.modulus
-    for code in range(p**degree):
-        coeffs = []
-        rest = code
-        for _ in range(degree):
-            rest, digit = divmod(rest, p)
-            coeffs.append(digit)
-        yield Poly(field, coeffs + [1])
+    for digits in itertools.product(range(field.modulus), repeat=degree):
+        yield Poly(field, digits[::-1] + (1,))  # product varies its last digit fastest
 
 
 def enumerate_irreducibles(p: int, n: int) -> list[Poly]:
@@ -74,28 +68,24 @@ def enumerate_irreducibles(p: int, n: int) -> list[Poly]:
 
 @functools.lru_cache(maxsize=64)
 def _enumerate_cached(p: int, n: int) -> tuple[Poly, ...]:
-    field = PrimeField(p)
-
+    # Degree n only: a reducible monic is a cached irreducible of degree d <= n/2 times
+    # a monic. Keys are low-coefficient codes; _monic_polys yields code i i-th.
     def encode(f: Poly) -> int:
         code = 0
         for c in reversed(f.coeffs[:-1]):
             code = code * p + c
         return code
 
-    irreducible_by_degree: list[list[Poly]] = [[]]
-    for d in range(1, n + 1):
-        composite: set[int] = set()
-        for d_factor in range(1, d // 2 + 1):
-            for small in irreducible_by_degree[d_factor]:
-                for cofactor in _monic_polys(field, d - d_factor):
-                    composite.add(encode(small * cofactor))
-        found = [
-            f for f in _monic_polys(field, d) if encode(f) not in composite
-        ]
-        irreducible_by_degree.append(found)
-    result = irreducible_by_degree[n]
-    result.sort(key=_graded_lex_key)
-    return tuple(result)
+    field = PrimeField(p)
+    composite = {
+        encode(naive_mul(small, cofactor))
+        for d in range(1, n // 2 + 1)
+        for small in _enumerate_cached(p, d)
+        for cofactor in _monic_polys(field, n - d)
+    }
+    found = [f for code, f in enumerate(_monic_polys(field, n)) if code not in composite]
+    found.sort(key=_graded_lex_key)
+    return tuple(found)
 
 
 def naive_factor(f: Poly) -> FactorizationResult:
@@ -103,7 +93,7 @@ def naive_factor(f: Poly) -> FactorizationResult:
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     p = f.field.modulus
-    if f.degree >= 1 and p ** int(f.degree) > _SCALE_GUARD:
+    if f.degree > _SCALE_GUARD.bit_length() or p ** int(f.degree) > _SCALE_GUARD:
         raise TooLarge(f"{p}^{f.degree} exceeds the trial-division guard")
     unit = f.lc()
     rest = f.monic()

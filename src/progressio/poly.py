@@ -345,7 +345,7 @@ def _deriv(a: Sequence[int], p: int) -> list[int]:
 
 def _eval(a: Sequence[int], x: int, p: int) -> int:
     acc = 0
-    for coeff in reversed(list(a)):
+    for coeff in reversed(a):
         acc = (acc * x + coeff) % p
     return acc
 

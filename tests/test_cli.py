@@ -3,10 +3,12 @@ import pathlib
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
 import progressio
+from progressio import cli
 from progressio import PrimeField, build_stable, certificate_to_text, parse_poly
 from progressio.cli import run
 from progressio.errors import ParseError
@@ -265,3 +267,54 @@ def test_selftest_full(capsys):
     out = capsys.readouterr().out
     assert out.count("ok") >= 6
     assert "FAIL" not in out
+
+
+def _skewed_expand(real):
+    # Unit and factors as factorize has them; only the product comes out wrong.
+    def factorize(f, *seed):
+        ours = real(f, *seed)
+        return SimpleNamespace(unit=ours.unit, factors=ours.factors, expand=lambda: f + 1)
+
+    return factorize
+
+
+# One reference broken at a time, each read by exactly one selftest suite.
+_BREAKERS = {
+    "necklace counts match enumeration": (
+        "count_irreducibles", lambda real: lambda p, n: real(p, n) + (n == 1)),
+    "factorization agrees with trial division": (
+        "factorize", lambda real: lambda f, *seed: real(f * f, *seed)),
+    "factorization expands back": (
+        "factorize", _skewed_expand),
+    "discriminant character agrees with the factor count": (
+        "_discriminant", lambda real: lambda f, p: 0),
+    "exhaustive search agrees with the necklace count": (
+        "search_exhaustive",
+        lambda real: lambda a, b, n: SimpleNamespace(hits=(), scanned=0)),
+    "irreducibility test agrees with the sieve": (
+        "enumerate_irreducibles", lambda real: lambda p, n: real(p, n)[p == 3:]),
+    "product kernel agrees with convolution": (
+        "naive_mul", lambda real: lambda f, g: real(f, g) + 1),
+    "product kernel's mulmod agrees with long division": (
+        "_reducer", lambda real: lambda m, p: lambda f, g: [*real(m, p)(f, g), 1]),
+    "Euclid kernel agrees with long division and Sylvester": (
+        "sylvester_resultant", lambda real: lambda a, b, p: (real(a, b, p) + 1) % p),
+    "certificate round-trip certifies": (
+        "certify_sn", lambda real: lambda cert: SimpleNamespace(n=cert.n + 1)),
+    "root sieve agrees with the irreducibility test": (
+        "_root_sieve", lambda real: lambda a, bc, p: bytearray([1]) * p),
+}
+
+
+@pytest.mark.parametrize("case", list(_BREAKERS))
+def test_selftest_reports_exactly_the_broken_suite(monkeypatch, capsys, case):
+    name, breaker = _BREAKERS[case]
+    monkeypatch.setattr(cli, name, breaker(getattr(cli, name)))
+    assert run(["selftest", "--level", "quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    suite = {"factorization expands back": "factorization agrees with trial division",
+             "product kernel's mulmod agrees with long division":
+                 "product kernel agrees with convolution"}.get(case, case)
+    assert failed == [f"FAIL  {suite}"]
+    assert sum(line.startswith("ok  ") for line in lines) == 8

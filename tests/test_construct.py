@@ -25,6 +25,7 @@ from progressio import (
     smallest_feasible_n,
     verify_certificate,
 )
+from progressio import construct
 from progressio.errors import (
     FieldExhausted,
     FieldTooSmall,
@@ -528,3 +529,19 @@ def test_verifier_matches_the_reference_on_traps(which):
     lhs_zero = certificate_violations(traps["zero h1, lhs = 0, e = 10^30"])
     assert "witness1-identity" not in lhs_zero and "h1-separable" in lhs_zero
     assert certificate_violations(traps["foreign alpha1"]) == ["field-consistency"]
+
+
+def test_build_stable_refuses_once_every_scale_pair_is_rejected(monkeypatch):
+    # A verifier that rejects every candidate: all (p-1)(p-2) ordered pairs run, then
+    # the refusal.
+    calls = []
+
+    def counted_build_c(*args):
+        calls.append(args)
+        return build_c(*args)
+
+    monkeypatch.setattr(construct, "certificate_violations", lambda cert: ["rejected"])
+    monkeypatch.setattr(construct, "build_c", counted_build_c)
+    with pytest.raises(FieldExhausted, match="no admissible scale pair"):
+        build_stable(parse_poly(F5, "X+1"), Poly.one(F5), 7)
+    assert len(calls) == 4 * 3

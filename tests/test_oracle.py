@@ -1,3 +1,4 @@
+import signal
 import time
 
 import pytest
@@ -10,7 +11,9 @@ from progressio import (
     naive_mul,
     parse_poly,
 )
+from progressio import poly
 from progressio.errors import TooLarge, ZeroPolynomial
+from progressio.oracle import _enumerate_cached
 from progressio.poly import Poly
 
 F2 = PrimeField(2)
@@ -69,3 +72,34 @@ def test_naive_factor_guards():
         naive_factor(Poly.zero(F5))
     with pytest.raises(TooLarge):
         naive_factor(Poly(PrimeField(101), list(range(1, 6))))
+
+
+def test_naive_factor_refuses_a_huge_degree_before_any_power():
+    # p^deg f at deg 2^20 and p = 2^61 - 1 alone takes seconds; the degree settles it.
+    f = parse_poly(PrimeField((1 << 61) - 1), "X^1048576+1")
+
+    def too_slow(signum, frame):
+        raise AssertionError("the refusal took over 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(TooLarge, match="trial-division guard"):
+            naive_factor(f)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_sieve_multiplies_without_the_production_kernel(monkeypatch):
+    expected = enumerate_irreducibles(3, 6)
+
+    def forbidden(*args):
+        raise AssertionError("the sieve called poly._mul")
+
+    monkeypatch.setattr(poly, "_mul", forbidden)
+    _enumerate_cached.cache_clear()
+    try:
+        assert enumerate_irreducibles(3, 6) == expected
+    finally:
+        _enumerate_cached.cache_clear()

@@ -1,6 +1,10 @@
+import concurrent.futures
 import os
+import pathlib
+import subprocess
+import sys
 
-from progressio import _par
+import progressio
 from progressio._par import run_chunked, split_range, worker_count
 
 
@@ -54,7 +58,7 @@ def test_run_chunked_caps_processes_at_cpus(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(_par, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert run_chunked(_square, list(range(8)), workers=10**9) == [
         j * j for j in range(8)
@@ -74,3 +78,12 @@ def test_an_affinity_mask_of_one_cpu_means_one_worker(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert worker_count() == 1
     assert run_chunked(lambda job: job + 1, [1, 2, 3], workers=4) == [2, 3, 4]
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    # Only a pooled run_chunked needs the process-pool machinery; plain commands skip it.
+    probe = "import sys, progressio.cli; print('multiprocessing' in sys.modules)"
+    src = pathlib.Path(progressio.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False", out.stderr
