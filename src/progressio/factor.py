@@ -1,14 +1,15 @@
 """Irreducibility testing and complete factorization over prime fields.
 
-Both read the Frobenius off X^p mod f: the rows X^(i*p) mod f, applied as poly's
-``_linear_map``, so no exponent grows with p^d. X^p is poly's ``_pow_mod`` of X, and
-X^(p^2), where the test needs no rows, is ``_compose_mod`` of X^p with itself; each row
-is the linear map g -> X^p * g, whose rows X^(p+i) come by multiply-by-X steps, applied
-to the one before. Both run Ben-Or's distinct-degree loop:
+Both read the Frobenius off X^p mod f: the rows X^(i*p) mod f (poly's
+``_frobenius_rows``), applied as poly's ``_linear_map``, so no exponent grows with p^d.
+X^p is poly's ``_pow_mod`` of X, and X^(p^2), where the test needs no rows, is
+``_compose_mod`` of X^p with itself. Both run Ben-Or's distinct-degree loop:
 gcd(X^(p^d) - X, f) is the product of the degree-d irreducible factors of f, and
 degrees d > 1 come in blocks [d, 2d) (Shoup 1995), one gcd with the product of the
 X^(p^e) - X over a block. Factorization divides each nontrivial product out while
-2d <= deg(rest), and what is left is irreducible. The test starts with disc f: 0 is a
+2d <= deg(rest), and what is left is irreducible; its rows outlive a split while they
+number fewer than 2 deg(rest), so they are X^(i*p) mod a multiple of rest, each image
+reduced by one Barrett step. The test starts with disc f: 0 is a
 repeated factor, and for odd p its character is (-1)^(n-r), r the number of distinct
 irreducible factors (Swan 1962). So an admitted reducible f has a factor of degree
 <= n/2, and for odd p (r >= 3) <= n/3; the test stops there or at a nontrivial gcd.
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import (
     ConstantPolynomial,
@@ -44,6 +44,7 @@ from .poly import (
     _compose_mod,
     _deriv,
     _divmod,
+    _frobenius_rows,
     _gcd,
     _linear_map,
     _monic,
@@ -51,7 +52,6 @@ from .poly import (
     _reducer,
     _resultant,
     _sub,
-    _times_x,
     _trim,
     format_poly,
 )
@@ -76,39 +76,27 @@ def count_irreducibles(p: int, n: int) -> int:
 # Irreducibility.
 
 
-def _frobenius_rows(xp: list[int], f: list[int], p: int) -> list[list[int]]:
-    # Rows X^(i*p) mod f for i < deg f, each the map g -> X^p * g of the one before.
-    cols = [xp]
-    for _ in range(len(f) - 2):
-        cols.append(_times_x(cols[-1], f, p))
-    step = _linear_map(cols, p)
-    rows = [[1]]
-    for _ in range(len(f) - 2):
-        rows.append(step(rows[-1]))
-    return rows
-
-
 def _ben_or(f: list[int], p: int):
     # f monic, degree >= 1. Yields (gcd(X^(p^d) - X, rest), d, rows) when that gcd
     # is nontrivial, dividing it out of rest, then (rest, deg rest, rows); rows are
-    # X^(i*p) mod rest, [] before d = 2. No degree in a block [d, 2d) divides
-    # another, so the block gcd holds exactly the factors of the block's degrees.
+    # X^(i*p) mod a multiple of rest, [] before d = 2. No degree in a block [d, 2d)
+    # divides another, so the block gcd holds exactly the factors of the block's degrees.
     rest = f
     rows: list[list[int]] = []
     rem = _reducer(rest, p)  # a -> a mod rest, rebuilt whenever rest shrinks
     d = 1
     while 2 * d < len(rest):
         if d > 1 and not rows:  # not before d = 2: most random inputs have a root
-            rows = _frobenius_rows(h, rest, p)
+            rows = _frobenius_rows(h, rem, p)
             frob = _linear_map(rows, p)
         top = min(2 * d - 1, (len(rest) - 1) // 2)
         hs = []
         for e in range(d, top + 1):
-            h = frob(h) if e > 1 else _pow_mod([0, 1], p, rem, p)
+            h = rem(frob(h)) if e > 1 else _pow_mod([0, 1], p, rem, p)
             hs.append(_sub(h, [0, 1], p))
         block = rest
         if top > d:
-            block = _gcd(reduce(rem, hs), rest, p)
+            block = _gcd(rem(*hs), rest, p)
         size = len(rest)
         for e, he in zip(range(d, top + 1), hs):
             if len(block) == 1 or 2 * e >= len(rest):
@@ -117,13 +105,16 @@ def _ben_or(f: list[int], p: int):
             if len(g) > 1:
                 yield g, e, rows
                 rest = _divmod(rest, g, p)[0]
+        d = top + 1
         if len(rest) < size:
             rem = _reducer(rest, p)
             h = rem(h)
-            if rows:
+            # Rows mod the old rest serve while fewer than 2 deg rest of them (one
+            # Barrett step of rem then reduces their map's output) and once the loop is
+            # over (only the irreducible last rest is left, and it needs no rows).
+            if rows and len(rows) >= 2 * len(rest) - 2 and 2 * d < len(rest):
                 rows = [rem(r) for r in rows[: len(rest) - 1]]
                 frob = _linear_map(rows, p)
-        d = top + 1
     if len(rest) > 1:
         yield rest, len(rest) - 1, rows
 
@@ -157,7 +148,7 @@ def _rabin_irreducible(coeffs, p: int, sieved: bool = False) -> bool:
     h = xp = _pow_mod([0, 1], p, rem, p)
     for d in range(first, top + 1):
         if d == 2 and top > 2:  # X^(p^d) as iterates of the Frobenius rows
-            frob = _linear_map(_frobenius_rows(xp, f, p), p)
+            frob = _linear_map(_frobenius_rows(xp, rem, p), p)
         if d > 1:  # at top = 2, X^p(X^p) by Horner: n - 1 packed Barrett mulmods
             h = frob(h) if top > 2 else _compose_mod(xp, xp, rem, p)
         hx = _sub(h, [0, 1], p)

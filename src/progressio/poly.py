@@ -11,17 +11,20 @@ Module-level helpers (``gcd``, ``xgcd``, ``pow_mod``) operate on Poly values; th
 underscore-prefixed kernels work on raw coefficient lists and carry the
 performance-sensitive inner loops.
 
-Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern
-Computer Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a, len
-b)·(p−1)², one multiply in C) but for pairs too short to repay it. ``_linear_map``
-(v -> sum v_i·rows[i], one packed int per row) is factor's Frobenius. ``_reducer``
-gives a -> a mod f and a, b -> a·b mod f by ``_barrett``'s packed mulmod (by X^(2n−1)
-div f, then per slot by ⌊2^s/p⌋; Barrett 1986) for f of every degree n >= 1; only a
-constant f reduces by long division. ``_pow_mod`` (square and multiply, X^p for factor)
-and ``_compose_mod`` (Horner, X^(p²) = X^p∘X^p) run on the same kernel, packed once.
-``_euclid``, under ``_gcd``, ``_xgcd`` and ``_resultant`` (which reads the remainders'
-lengths and leading coefficients), is Euclid on packed ints with the same slot reduction,
-by long division only for a gcd or resultant of an operand below ``_EUCLID_PACKED``.
+Only this module packs coefficients into ints (von zur Gathen & Gerhard, Modern Computer
+Algebra, 8.4). ``_mul`` is Kronecker substitution (slots for min(len a, len b)·(p−1)²,
+one multiply in C) but for pairs too short to repay it. ``_linear_map`` (v -> sum
+v_i·rows[i], one packed int per row) is factor's Frobenius on the rows X^(i·p) mod f of
+``_frobenius_rows``: one mulmod by X^p per row where the kernel's slots are at most 4
+bytes (every p <= 19 to degree 128), else the map g -> X^p·g. ``_reducer`` gives a -> a
+mod f and a, b, ... -> a·b·... mod f by ``_barrett``'s packed mulmod (by X^(2n−1) div f,
+then per slot by ⌊2^s/p⌋; Barrett 1986), each factor packed once, for f of every degree
+n >= 1; only a constant f reduces by long division. ``_pow_mod`` (square and multiply,
+X^p for factor) and ``_compose_mod`` (Horner, X^(p²) = X^p∘X^p) run on the same kernel,
+packed once. ``_euclid``, under ``_gcd``, ``_xgcd`` and ``_resultant`` (which reads the
+remainders' lengths and leading coefficients), is Euclid on packed ints with the same
+slot reduction, by long division only for a gcd or resultant of an operand below
+``_EUCLID_PACKED``.
 
 Text grammar (both directions, bit-exact): a polynomial is either a
 comma-separated low-to-high coefficient list ("1,0,3") or a symbolic sum
@@ -34,6 +37,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -161,6 +165,23 @@ def _linear_map(rows: Sequence[Sequence[int]], p: int):
     return lambda v: _trim(_unpack(sum(map(mul, v, ints)), k, n, p))
 
 
+def _frobenius_rows(xp: list[int], rem, p: int) -> list[list[int]]:
+    # Rows X^(i*p) mod f for i < n = deg f, rem = _reducer(f, p), xp = X^p mod f. Where
+    # rem's kernel has slots of at most 4 bytes, row i + 1 is row i times X^p by one
+    # packed mulmod; wider, each row is the linear map g -> X^p * g of the one before.
+    n, (kb, mulmod) = rem.n, rem.kernel
+    if kb <= 4:
+        xs = accumulate(repeat(_pack(xp, kb), n - 1), mulmod, initial=1)
+        return [_trim(_unpack(x, kb, n, p)) for x in xs]
+    cols = [xp]
+    for _ in range(n - 1):
+        cols.append(_times_x(cols[-1], rem.f, p))
+    step, rows = _linear_map(cols, p), [[1]]
+    for _ in range(n - 1):
+        rows.append(step(rows[-1]))
+    return rows
+
+
 def _slot_reduction(vmax: int, p: int) -> tuple[int, int, int]:
     # k, s and m = 2^s // p: a slot v < vmax becomes v - p((v*m) >> s) in [0, 2p), as s is
     # the least with v*m / 2^s > v/p - 1 for v < vmax, and v*m fits in k bytes.
@@ -200,23 +221,26 @@ def _barrett(f: Sequence[int], p: int):
 
 
 def _reducer(f: Sequence[int], p: int):
-    # a -> a mod f, a, b -> a*b mod f: by the Barrett kernel (rem.kernel, None for a
-    # constant f; rem.n = n) if n < len a < 2n, and otherwise by long division.
+    # a -> a mod f, a, *more -> a*b*... mod f: by the Barrett kernel (rem.kernel, None for
+    # a constant f; rem.n = n, rem.f = monic f) for one n < len a < 2n, or for factors all
+    # reduced, packed once each, one mulmod per factor; otherwise by long division.
     f = _monic(f, p)
     n = len(f) - 1
     kernel = _barrett(f, p) if n else None
 
-    def rem(a: Sequence[int], b: Sequence[int] | None = None) -> list[int]:
-        if b is not None and not (kernel and max(len(a), len(b)) <= n):
-            a, b = _mul(a, b, p), None
-        if b is None and not (kernel and 0 < len(a) - n < n):
-            return _divmod(a, f, p)[1]
+    def rem(a: Sequence[int], *more: Sequence[int]) -> list[int]:
+        if more and not (kernel and max(map(len, (a, *more))) <= n):
+            return rem(_mul(a, more[0], p), *more[1:])
+        if not more and not (kernel and 0 < len(a) - n < n):
+            return _divmod(a, f, p)[1] if len(a) > n else list(a)
         k, mulmod = kernel
         x = _pack(a, k)
-        z = mulmod(x, 1 if b is None else x if b is a else _pack(b, k))
+        z = x if more else mulmod(x, 1)
+        for b in more:
+            z = mulmod(z, x if b is a else _pack(b, k))
         return _trim(_unpack(z, k, n, p))
 
-    rem.kernel, rem.n = kernel, n
+    rem.kernel, rem.n, rem.f = kernel, n, f
     return rem
 
 
@@ -363,8 +387,8 @@ class Poly:
         p = field.modulus
         raw = [int(c) % p for c in coeffs]
         _trim(raw)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(raw))
+        _set_field(self, field)
+        _set_coeffs(self, tuple(raw))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -414,8 +438,8 @@ class Poly:
 
     def _wrap(self, raw: list[int]) -> Poly:
         out = object.__new__(Poly)
-        object.__setattr__(out, "field", self.field)
-        object.__setattr__(out, "coeffs", tuple(raw))
+        _set_field(out, self.field)
+        _set_coeffs(out, tuple(raw))
         return out
 
     def _coerce(self, other) -> tuple[int, ...] | None:
@@ -521,6 +545,10 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(F{self.field.modulus}, {format_poly(self)})"
+
+
+# The slots' member descriptors write past __setattr__, faster than object.__setattr__.
+_set_field, _set_coeffs = Poly.field.__set__, Poly.coeffs.__set__
 
 
 # ---------------------------------------------------------------------------

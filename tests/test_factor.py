@@ -345,15 +345,18 @@ def test_no_frobenius_where_the_test_cannot_use_it(monkeypatch):
                     assert got == (f in irreducible), (p, f, sieved)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 10007, (1 << 61) - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 101, 10007, (1 << 61) - 1])
 def test_square_and_shift_xp_matches_pow_mod(p):
     # The independent check of poly's packed _pow_mod (X^p by its square-and-shift start)
     # and _compose_mod (X^(p^2) = X^p(X^p) by Horner): many tests take pow_mod as their
     # X^(p^d) reference, and this one vouches for it. The references are square-and-
     # multiply and Horner from oracle.naive_mul and long division, which share no code
-    # with the Barrett kernel. The rows X^(i*p) mod f come by the map g -> X^p * g.
-    import progressio.factor as fmod
-    from progressio.poly import _compose_mod, _pow_mod, _reducer
+    # with the Barrett kernel. The rows X^(i*p) mod f come by one mulmod each where the
+    # kernel's slots are at most 4 bytes (p <= 31, and p = 101 below n = 9), otherwise
+    # by the map g -> X^p * g; a stand-in rem with wide slots takes the map at every p.
+    from types import SimpleNamespace
+
+    from progressio.poly import _compose_mod, _frobenius_rows, _pow_mod, _reducer
 
     rng = random.Random(p)
     field = PrimeField(p)
@@ -379,10 +382,12 @@ def test_square_and_shift_xp_matches_pow_mod(p):
         modulus, rem = Poly(field, f), _reducer(f, p)
         xp = _pow_mod([0, 1], p, rem, p)
         assert Poly(field, xp) == power(x, p, modulus), (p, n)
-        rows = fmod._frobenius_rows(xp, f, p)
-        assert len(rows) == n
-        for i in range(n) if n < 128 else (0, 1, n // 2, n - 1):  # pow_mod is slow
+        rows = _frobenius_rows(xp, rem, p)
+        assert len(rows) == n and rows[0] == [1]
+        for i in range(n) if n < 128 else (0, 1, 2, n // 2, n - 1):  # pow_mod is slow
             assert Poly(field, rows[i]) == pow_mod(x, i * p, modulus), (p, n, i)
+        wide = SimpleNamespace(n=n, f=rem.f, kernel=(9, None))
+        assert _frobenius_rows(xp, wide, p) == rows, (p, n)
         if n == 128:
             continue  # the references are quadratic per step
         xp2 = _compose_mod(xp, xp, rem, p)
@@ -485,13 +490,27 @@ def _random_irreducible(rng, field, degree):
 def test_distinct_degree_matches_per_degree_reference():
     # Seeded squarefree inputs up to degree 130: random ones, and products of
     # irreducibles whose degrees share a block [d, 2d) of the blocked loop, some of
-    # degree <= 8, where rest is small from the start.
+    # degree <= 8, where rest is small from the start. Two more, rootless, split at
+    # d = 2 once the rows exist: (2, 3, 20, 21) loses 5 of 46 and keeps its 46 rows to
+    # the end, as the loop stops at its next split; (2, 2, 3, 3, 3, 9) loses 13 of 22,
+    # so its rows are taken anew mod the degree-9 rest.
     rng = random.Random(47)
     cases = [(2, 130), (3, 100), (5, 128), (101, 64), (10007, 40), ((1 << 61) - 1, 20)]
     for p, n in cases:
         field = PrimeField(p)
         inputs = [Poly(field, [rng.randrange(p) for _ in range(n)] + [1])
                   for _ in range(3)]
+        split = {}  # input -> the row counts _ben_or yields with its pieces
+        shapes = (((2, 3, 20, 21), [46] * 4), ((2, 2, 3, 3, 3, 9), [22, 22, 9]))
+        for degrees, counts in shapes if p > 2 else ():  # F_2 has one quadratic
+            f = Poly.one(field)
+            for k in degrees:
+                g = _random_irreducible(rng, field, k)
+                while not gcd(f, g).is_one():
+                    g = _random_irreducible(rng, field, k)
+                f = f * g
+            inputs.append(f)
+            split[f] = counts
         blocks = ((2, 3), (1, 2, 3), (3, 4), (2, 2, 3), (3, 5))
         for degrees in ((1, 2, 3, 5, 6, 7, 7), (4, 5, 9, 13, 20)) + blocks:
             f = Poly.one(field)
@@ -506,6 +525,8 @@ def test_distinct_degree_matches_per_degree_reference():
             ours = list(_ben_or(list(f.coeffs), p))
             ref = [(list(g.coeffs), d) for g, d in _reference_distinct_degree(f)]
             assert [(g, d) for g, d, _ in ours] == ref, (p, f.degree)
+            if f in split:
+                assert [len(rows) for _, _, rows in ours] == split[f], p
             x = Poly.x(field)
             for g, d, rows in ours:  # X^(i*p) mod a multiple of g, from d = 2 on
                 if d == 1:
@@ -524,9 +545,9 @@ def test_frobenius_data_built_once_per_squarefree_part(monkeypatch):
     built = []
     frobenius_rows, pow_mod_ = fmod._frobenius_rows, fmod._pow_mod
 
-    def count_rows(xp, f, p):
+    def count_rows(xp, rem, p):
         built.append("rows")
-        return frobenius_rows(xp, f, p)
+        return frobenius_rows(xp, rem, p)
 
     def count_xp(base, k, rem, p):
         if k == p:  # X^p; the splitting stage's powers have k = (p - 1) / 2

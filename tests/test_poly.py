@@ -297,9 +297,9 @@ def test_remainder_table_matches_long_division():
 
 
 def test_packed_product_matches_long_division():
-    # rem(x, y) = x*y mod f for f of degree 1..12: the Barrett kernel, or a product and
-    # then a remainder for an unreduced operand. Operands of all p - 1 fill each product
-    # slot to n(p - 1)^2.
+    # rem(x, y, ...) = x*y*... mod f for f of degree 1..12: the Barrett kernel, or a
+    # product and then a remainder for an unreduced operand. Operands of all p - 1 fill
+    # each product slot to n(p - 1)^2.
     rng = random.Random(67)
     for p in (2, 3, 11, 10007, (1 << 61) - 1):
         for n in range(1, 13):
@@ -313,6 +313,17 @@ def test_packed_product_matches_long_division():
                              ([], y), ([1], x), (wide, x)):
                     want = _divmod(_mul(a, b, p), f, p)[1]
                     assert rem(a, b) == want, (p, n, a, b)
+                # One to six factors, packed once each: a repeated first factor, all
+                # p - 1, and an unreduced one among them.
+                for count in range(1, 7):
+                    factors = [_trim([rng.randrange(p) for _ in range(n)])
+                               for _ in range(count)]
+                    for args in (factors, [x] + [x, y] * (count // 2), [top] * count,
+                                 factors[:-1] + [wide]):
+                        want = [1]
+                        for b in args:
+                            want = _divmod(_mul(want, b, p), f, p)[1]
+                        assert rem(*args) == want, (p, n, args)
 
 
 def test_barrett_kernel_for_any_lead_built_once(monkeypatch):
@@ -546,8 +557,17 @@ def test_format_round_trip():
 def test_poly_hash_and_immutability():
     f = parse_poly(F5, "X+1")
     assert hash(f) == hash(parse_poly(F5, "X+1"))
-    with pytest.raises(AttributeError):
-        f.coeffs = ()
+    for name, value in (("coeffs", ()), ("field", F7), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(f, name, value)
+    assert f.coeffs == (1, 1) and f.field is F5
+    # _wrap sets both slots past __setattr__: the value equals, and hashes like, Poly's.
+    for field, raw in ((F5, [1, 2, 3]), (F7, [6]), (F2, []), (F5, [4] * 9)):
+        wrapped = Poly.one(field)._wrap(raw)
+        assert wrapped == Poly(field, raw) and hash(wrapped) == hash(Poly(field, raw))
+        assert wrapped.field is field and wrapped.coeffs == tuple(raw)
+        with pytest.raises(AttributeError):
+            wrapped.coeffs = (1,)
 
 
 def test_equality_with_a_foreign_field_scalar_is_false():

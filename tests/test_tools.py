@@ -36,6 +36,29 @@ def test_bench_sweep_writes_its_table(tmp_path):
         assert row["search_us"] > 0 and row["sieve_us"] > 0
 
 
+def test_bench_factor_writes_its_table(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(TOOLS / "bench_factor.py"), "--rounds", "1",
+                    "--out", str(out)], check=True, capture_output=True, timeout=120)
+    table = json.loads(out.read_text())
+    assert table["meta"].keys() == {"python", "cpus", "rounds", "with_parent"}
+    assert table["meta"]["rounds"] == 1 and table["meta"]["with_parent"] is False
+    kinds = {}
+    for row in table["rows"]:
+        kinds.setdefault(row["kind"], []).append(row)
+        times = [v for key, v in row.items() if key.endswith("us")]
+        assert times and all(t > 0 for t in times), row
+    assert {(row["n"], row["p"]) for row in kinds["cell"]} == {
+        (32, 5), (32, 10007), (64, 5), (32, (1 << 61) - 1), (64, 10007), (128, 5)}
+    assert len(kinds["rows"]) == 24 and [row["case"] for row in kinds["split"]] == [
+        "refresh", "keep"]
+    for row in kinds["rows"]:  # the route follows the slot width: 4 bytes up to p = 31,
+        # and at p = 101 for n = 8
+        assert row.keys() == {"kind", "n", "p", "us", "chain_us", "map_us", "route"}
+        chain = row["p"] <= 31 or (row["p"], row["n"]) == (101, 8)
+        assert row["route"] == ("chain" if chain else "map"), row
+
+
 def test_bench_euclid_writes_its_table(tmp_path):
     out = tmp_path / "bench.json"
     subprocess.run([sys.executable, str(TOOLS / "bench_euclid.py"), "--rounds", "1",
